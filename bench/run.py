@@ -27,6 +27,14 @@ untraced run:
   `failed` / `attempted`; it is 0 for a correct program, so it is not one
   of BENCHMARK.json's bounded metrics).
 
+setup_s and wall_s are scaled to reference speed: the reference kernel of
+`reference.py`, which does not use inloop, is timed right before and after
+each start and each pass, and each time is multiplied by the kernel's
+nominal time over the mean of the two readings around it.  This takes out
+the drift of a shared host's speed, which is larger than the bounds, and
+leaves every change of the program's own speed in place.  The raw times
+are in the result file and the table.
+
 A traced run reports the per-layer metrics: busy time and call counts per
 pass for the traced public functions, work counts, each layer's self time,
 errors, the trace's own overhead, an engine sweep over the three filter
@@ -47,6 +55,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+from reference import reference_seconds, scaled
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
@@ -259,12 +269,15 @@ def provenance(seeds: dict[str, int], env: dict[str, str]) -> dict:
     }
 
 
-def run_workload(workload: str, seed: int, seconds: float, trace: int, tiny: bool) -> dict:
+def run_workload(workload: str, seed: int, seconds: float, trace: int,
+                 tiny: bool) -> tuple[dict, dict]:
     runner = Runner(tiny)
-    setups = [runner.setup_only(workload, seed)
-              for _ in range((1 if tiny else SETUP_REPEATS) - 1)]
-    setup, result = runner.run(workload, seed, seconds, trace)
-    setups.append(setup)
+    refs, raw_setups = [reference_seconds()], []
+    for _ in range(1 if tiny else SETUP_REPEATS):
+        raw_setups.append(runner.setup_only(workload, seed))
+        refs.append(reference_seconds())
+    setups = scaled(raw_setups, refs)
+    run_setup, result = runner.run(workload, seed, seconds, trace)
     attempted, failed = result["attempted"], result["failed"]
     if trace:
         values = dict(result["per_layer"])
@@ -292,23 +305,32 @@ def run_workload(workload: str, seed: int, seconds: float, trace: int, tiny: boo
         "fail_frac": failed / attempted,
         "passes": result["passes"],
         "pass_s": result["pass_s"],
+        "raw_pass_s": result["raw_pass_s"],
+        "pass_reference_s": result["reference_s"],
         "setup_runs_s": setups,
+        "raw_setup_runs_s": raw_setups,
+        "setup_reference_s": refs,
+        "raw_run_setup_s": run_setup,
         "provenance": provenance({workload: seed}, runner.env),
     }
     if "spans_file" in result:
         detail["spans_file"] = result["spans_file"]
     (OUT / f"result-{workload}-seed{seed}-trace{trace}.json").write_text(
         json.dumps(detail, indent=2) + "\n")
-    return report
+    return report, detail
 
 
-def print_table(reports: dict[str, dict]) -> None:
-    for workload, report in reports.items():
-        frac = report["failed"] / report["attempted"]
-        print(f"{workload:15s} {'fail_frac':42s} {frac:14.6g} ratio "
-              f"({report['failed']}/{report['attempted']})")
-        for metric, m in report["metrics"].items():
+def print_table(details: dict[str, dict]) -> None:
+    for workload, d in details.items():
+        print(f"{workload:15s} {'fail_frac':42s} {d['fail_frac']:14.6g} ratio "
+              f"({d['failed']}/{d['attempted']})")
+        for metric, m in d["metrics"].items():
             print(f"{workload:15s} {metric:42s} {m['value']:14.6g} {m['unit']}")
+        if not d["trace"]:
+            for metric, raw in (("raw setup_s", d["raw_setup_runs_s"]),
+                                ("raw wall_s", d["raw_pass_s"])):
+                print(f"{workload:15s} {metric:42s} {statistics.median(raw):14.6g} s "
+                      "(not scaled)")
 
 
 def main(argv=None) -> int:
@@ -328,12 +350,13 @@ def main(argv=None) -> int:
 
     workloads = WORKLOADS if args.workload == "all" else (args.workload,)
     try:
-        reports = {w: run_workload(w, args.seed, args.seconds, args.trace, args.tiny)
+        results = {w: run_workload(w, args.seed, args.seconds, args.trace, args.tiny)
                    for w in workloads}
     except BenchError as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 1
-    print_table(reports)
+    print_table({w: detail for w, (_, detail) in results.items()})
+    reports = {w: report for w, (report, _) in results.items()}
     last = reports[args.workload] if args.workload != "all" else reports
     print(json.dumps(last))
     return 0

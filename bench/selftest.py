@@ -109,10 +109,10 @@ def check_fault_counted() -> None:
         (workloads.MarkovWide(tiny=True), trajectories, ("fit_decay_rate", wrong_fit)),
         (workloads.Analysis(tiny=True), loop, ("in_loop_spectrum", wrong_spectrum)),
     ):
-        attempted, failed, _, _ = worker.run_passes(workload, 1, 0.0)
+        attempted, failed, *_ = worker.run_passes(workload, 1, 0.0)
         check(failed == 0, f"{workload.name}: correct values pass ({attempted} operations)")
         with mock.patch.object(target, *wrong):
-            attempted, failed, _, _ = worker.run_passes(workload, 1, 0.0)
+            attempted, failed, *_ = worker.run_passes(workload, 1, 0.0)
         check(failed >= 1, f"{workload.name}: wrong {wrong[0]} counted, fail_frac = "
               f"{failed}/{attempted}")
     check(not workloads.decay_ok(0.2, 0.001, 0.12) and workloads.decay_ok(0.121, 0.001, 0.12)

@@ -7,9 +7,10 @@
 `run` and `setup` import the workload's inloop modules and build its inputs,
 then print `READY`; the parent times set-up from process start to that line.
 `run` then runs passes for T seconds and prints one JSON line with the
-counts, the median pass time, the process's peak RSS and, when traced, the
-per-layer metrics.  `sweep-point` times one engine sweep point and prints
-its seconds.  `inloop` must be importable (the parent puts `src` on
+counts, the median pass time scaled to reference speed (see
+`reference.py`), the raw pass times, the process's peak RSS and, when
+traced, the per-layer metrics.  `sweep-point` times one engine sweep point
+and prints its seconds.  `inloop` must be importable (the parent puts `src` on
 PYTHONPATH).
 """
 
@@ -158,12 +159,17 @@ def engine_sweep(tiny: bool) -> dict[str, float]:
 def run_passes(workload, seed: int, seconds: float, tracer=None):
     """Run passes until `seconds` have elapsed.  With a tracer, passes
     alternate traced and untraced, starting traced, so that the trace's
-    overhead is measured within the run.  Returns (attempted, failed,
-    untraced pass times, traced pass times)."""
+    overhead is measured within the run.  The reference kernel is timed
+    before the first pass and after every pass, and each pass time is
+    scaled to reference speed by the readings on either side of it.  Returns
+    (attempted, failed, untraced pass times, traced pass times, raw pass
+    times, reference readings), the two pass-time lists scaled."""
     import numpy as np
+    from reference import reference_seconds, scaled
 
     attempted = failed = 0
-    plain, traced = [], []
+    raw, is_traced = [], []
+    refs = [reference_seconds()]
     start = time.perf_counter()
     index = 0
     while True:
@@ -190,11 +196,16 @@ def run_passes(workload, seed: int, seconds: float, tracer=None):
         finally:
             if use_trace:
                 tracer.restore()
-        (traced if use_trace else plain).append(time.perf_counter() - t0)
+        raw.append(time.perf_counter() - t0)
+        refs.append(reference_seconds())
+        is_traced.append(use_trace)
         index += 1
         done = time.perf_counter() - start >= seconds
-        if done and (tracer is None or plain):
-            return attempted, failed, plain, traced
+        if done and not all(is_traced):
+            times = scaled(raw, refs)
+            plain = [t for t, tr in zip(times, is_traced) if not tr]
+            traced = [t for t, tr in zip(times, is_traced) if tr]
+            return attempted, failed, plain, traced, raw, refs
 
 
 def layer_metrics(tracer, plain: list[float], traced: list[float]) -> dict[str, float]:
@@ -263,7 +274,8 @@ def main(argv=None) -> int:
             from tracing import Tracer
 
             tracer = Tracer()
-        attempted, failed, plain, traced = run_passes(workload, args.seed, args.seconds, tracer)
+        attempted, failed, plain, traced, raw, refs = run_passes(
+            workload, args.seed, args.seconds, tracer)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     result = {
@@ -271,6 +283,8 @@ def main(argv=None) -> int:
         "failed": failed,
         "passes": len(plain) + len(traced),
         "pass_s": plain,
+        "raw_pass_s": raw,
+        "reference_s": refs,
         "wall_s": statistics.median(plain) if plain else statistics.median(traced),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
