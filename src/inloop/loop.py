@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .errors import InstabilityError, ParameterError
 
@@ -362,7 +361,9 @@ def discrete_crossing_excess(weights: np.ndarray, g: float, n_grid: int = 1 << 1
     w = np.asarray(weights, dtype=float)
     resp = g * np.fft.rfft(np.concatenate(([0.0], w)), n=n_grid)
     re, im = resp.real, resp.imag
-    worst = float(re[0])
+    # Points exactly on the real axis, among them theta = 0 and the Nyquist
+    # point theta = pi, are crossings that no sign flip of im detects.
+    worst = float(np.max(re[im == 0.0]))
     flips = np.nonzero(im[:-1] * im[1:] < 0.0)[0]
     if flips.size:
         frac = im[flips] / (im[flips] - im[flips + 1])
@@ -409,6 +410,8 @@ def simulate_classical_loop(
             f"discretized loop recursion is unstable (max pole modulus "
             f"{np.max(np.abs(poles)):.6f})"
         )
+    from scipy import signal
+
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(dt)
     xi_nu = rng.standard_normal(n) * scale
@@ -434,6 +437,8 @@ def welch_spectrum(
     the records analyzed here are zero mean by construction, and per-segment
     mean removal would notch the lowest frequency bins.
     """
+    from scipy import signal
+
     x = np.asarray(samples, dtype=float)
     if nperseg is None:
         target = max(2 * x.size // (min_segments + 1), 64)

@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.signal import czt
 
 from .errors import ParameterError
 from .feedback import RateSet, rates, steady_state
@@ -109,6 +107,8 @@ def _oscillatory_transform(samples: np.ndarray, dtau: float, grid: np.ndarray) -
     x *= dtau
     dws = np.diff(grid)
     if dws.size and np.allclose(dws, dws[0], rtol=1e-9, atol=0.0):
+        from scipy.signal import czt
+
         a = np.exp(-1j * grid[0] * dtau)
         w = np.exp(1j * dws[0] * dtau)
         return czt(x, m=grid.size, w=w, a=a)
@@ -176,6 +176,8 @@ def fit_lorentzian_pair(spectrum: Spectrum) -> dict:
     def residual(params):
         a, g1, g2 = params
         return a * (g1 / (g1**2 + w**2) + g2 / (g2**2 + w**2)) - p
+
+    from scipy.optimize import least_squares
 
     start = np.array([peak * narrow0 / 2.0, narrow0, 10.0 * narrow0])
     fit = least_squares(residual, start, bounds=(1e-12, np.inf), xtol=1e-14, ftol=1e-14)

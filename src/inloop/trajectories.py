@@ -38,24 +38,28 @@ PURITY_ABORT_FACTOR * dt aborts the run as a step-size failure.  Recorded
 states therefore satisfy the trajectory purity bound exactly.
 
 Ensembles are bitwise deterministic for a fixed (seed, n_traj, dt): each
-trajectory consumes its own generator seeded with seed XOR index, all
-trajectories are stepped in lockstep by vectorized arithmetic (identical
-per-trajectory operation order regardless of ensemble size), and means are
-reduced with numpy's fixed pairwise summation over the trajectory axis.
+trajectory consumes its own generator seeded with seed XOR index (drawn in
+blocks of NOISE_BLOCK steps, which leaves the stream unchanged), all
+trajectories are stepped in lockstep by elementwise vectorized arithmetic,
+and means and variances are reduced by records.sum(axis=0), which
+accumulates the trajectory rows sequentially in trajectory-index order.
+With uniform or geometric filter weights a member's operation order does
+not depend on the ensemble size, so member i equals the single run seeded
+seed XOR i bitwise; general weights take the feedback drive from a BLAS
+matrix-vector product, whose summation order may change with the ensemble
+size, so there the two agree to rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import (
     AtomOperator,
     AtomState,
-    TRAJECTORY_PURITY_TOL,
     dissipator,
-    hamiltonian_flow,
     measurement_superop,
 )
 from .errors import InstabilityError, ParameterError, StepSizeError
@@ -75,6 +79,14 @@ PURITY_ABORT_FACTOR = 200.0
 
 # Absolute backstop: no physical overshoot mechanism reaches this.
 PURITY_ABORT_CEILING = 8.0
+
+# Steps of shot noise drawn per block.  The noise buffer and the current and
+# drive record buffers each hold NOISE_BLOCK steps of the whole ensemble
+# (8 * n * NOISE_BLOCK bytes), so memory does not grow with the run length.
+NOISE_BLOCK = 512
+# Generators fill their rows NOISE_TILE trajectories at a time, so that the
+# pass transposing a tile into step-major order reads from cache.
+NOISE_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -229,10 +241,8 @@ def run_ensemble(cfg: TrajectoryConfig) -> EnsembleResult:
     n_steps = int(round(cfg.duration / dt))
     if n_steps < 1:
         raise ParameterError("duration shorter than one step")
-    stride = cfg.stride()
-    mask = _record_mask(n_steps, stride)
+    mask = _record_mask(n_steps, cfg.stride())
     rec_steps = np.nonzero(mask)[0]
-    rec_of_step = {int(k): i for i, k in enumerate(rec_steps)}
 
     g = cfg.loop.g
     eta, eps = cfg.loop.eta, cfg.loop.eps
@@ -253,105 +263,161 @@ def run_ensemble(cfg: TrajectoryConfig) -> EnsembleResult:
     else:
         filter_mode = "general"
         ratio = 0.0
-    ratio_m = ratio**m
-    fb_scale = g / np.sqrt(eps)
-    meas_scale = np.sqrt(eta * eps)
-    drive_scale = np.sqrt(eta)
+    general = filter_mode == "general"
+    geometric = filter_mode == "geometric"
+    feedback = g != 0.0
+    guard = cfg.phi_guard
     cap = min(PURITY_ABORT_FACTOR * dt, PURITY_ABORT_CEILING)
+    # Scalar operands as 0-d float64 arrays: a Python float or numpy scalar
+    # operand costs a conversion on every ufunc call.
+    ratio_m, ratio, fb_scale, meas_scale, sqrt_eps, theta_scale, half_damp, dt64, one = (
+        np.array(v, dtype=np.float64)
+        for v in (
+            ratio**m, ratio, g / np.sqrt(eps), np.sqrt(eta * eps), np.sqrt(eps),
+            np.sqrt(eta) * dt, -0.5 * dt, dt, 1.0,
+        )
+    )
+    phi_scale = np.array(fb_scale * weights[0])
+    sqrt_dt = np.sqrt(dt)
+    # Lag weights of step k, w_j at ring row (k - j) % m, are the window
+    # [o, o + m) of the reversed weights repeated twice, o = (-k) % m.
+    lag_table = np.concatenate((weights[::-1], weights[::-1]))
 
     rngs = [np.random.default_rng(cfg.seed ^ i) for i in range(n)]
-    # Noise is drawn in step segments to bound memory at ~8 * n * seg bytes.
-    seg_len = max(64, min(n_steps, int(2.0e8 // (8 * n)) or 1))
 
-    x = np.full(n, cfg.initial_state.x)
-    y = np.full(n, cfg.initial_state.y)
-    z = np.full(n, cfg.initial_state.z)
+    state = np.repeat(cfg.initial_state.bloch[:, None], n, axis=1)
+    x, y, z = state
+    xy, yz, xz = state[:2], state[1:], state[::2]
     ring = np.zeros((m, n))
     hist_sum = np.zeros(n)  # running flat sum or geometric state
+    phi = np.zeros(n)
+    meas, one_z, tmp, aux, lagged = (np.empty(n) for _ in range(5))
+    terms = np.empty((3, n))
+    tx, ty, tz = terms
+    trig, pair_a, pair_b = np.empty((2, n)), np.empty((2, n)), np.empty((2, n))
+    cos_t, sin_t = trig
+    zx = state[2::-2]
 
+    block = min(NOISE_BLOCK, n_steps)
+    draws = np.empty((min(n, NOISE_TILE), block))
+    noise = np.empty((block, n))
     records = np.empty((n, rec_steps.size, 3))
     currents = np.empty((n, n_steps)) if cfg.record_current else None
     drives = np.empty((n, n_steps)) if cfg.record_drive else None
+    cur_block = np.empty((block, n)) if currents is not None else None
+    drv_block = np.empty((block, n)) if drives is not None else None
 
-    def record(step: int) -> None:
-        i = rec_of_step.get(step)
-        if i is not None:
-            records[:, i, 0] = x
-            records[:, i, 1] = y
-            records[:, i, 2] = z
+    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
+    peak_of = np.maximum.reduce
+    records[:, 0] = state.T
+    rec = 1
+    for k0 in range(0, n_steps, block):
+        take = min(block, n_steps - k0)
+        # Each generator fills its own contiguous row of a cache-sized tile of
+        # trajectories; one transposed pass scales the tile into step-major
+        # increments of variance dt.
+        for c0 in range(0, n, NOISE_TILE):
+            tile = draws[: min(NOISE_TILE, n - c0)]
+            for row, rng in zip(tile, rngs[c0 : c0 + NOISE_TILE]):
+                rng.standard_normal(out=row[:take])
+            mul(tile[:, :take].T, sqrt_dt, noise[:take, c0 : c0 + tile.shape[0]])
 
-    record(0)
-    sqrt_dt = np.sqrt(dt)
-    buf = np.empty((0, n))
-    buf_base = 0
-    for k in range(n_steps):
-        local = k - buf_base
-        if local >= buf.shape[0]:
-            buf_base = k
-            local = 0
-            take = min(seg_len, n_steps - k)
-            buf = np.empty((take, n))
-            for i, rng in enumerate(rngs):
-                buf[:, i] = rng.standard_normal(take)
-            buf *= sqrt_dt
-        dw = buf[local]
+        for j in range(take):
+            k = k0 + j
+            dw = noise[j]
+            if k >= m_warm and feedback:
+                if general:
+                    o = -k % m
+                    np.matmul(lag_table[o : o + m], ring, phi)
+                    mul(phi, fb_scale, phi)
+                else:
+                    mul(hist_sum, phi_scale, phi)
+                np.abs(phi, tmp)
+                peak = float(peak_of(tmp))
+                if peak > guard:
+                    raise InstabilityError(
+                        f"feedback drive |Phi| = {peak:.3g} exceeded the guard "
+                        f"{guard:.3g} at t = {k * dt:.4g}"
+                    )
 
-        if k >= m_warm and g != 0.0:
-            if filter_mode == "general":
-                lag_weights = np.empty(m)
-                lag_weights[(k - np.arange(1, m + 1)) % m] = weights
-                phi = fb_scale * (lag_weights @ ring)
-            else:
-                phi = (fb_scale * weights[0]) * hist_sum
-            peak = float(np.max(np.abs(phi)))
-            if peak > cfg.phi_guard:
-                raise InstabilityError(
-                    f"feedback drive |Phi| = {peak:.3g} exceeded the guard "
-                    f"{cfg.phi_guard:.3g} at t = {k * dt:.4g}"
+            # The current meas_scale x + sqrt(eps) Phi + dW/dt goes straight
+            # into its ring slot once the slot's oldest sample has been read.
+            slot = ring[k % m]
+            if not general:
+                mul(slot, ratio_m, lagged)
+            mul(x, meas_scale, tmp)
+            mul(phi, sqrt_eps, aux)
+            add(tmp, aux, tmp)
+            div(dw, dt64, aux)
+            add(tmp, aux, slot)
+            if not general:
+                sub(slot, lagged, lagged)
+                if geometric:
+                    hist_sum *= ratio
+                hist_sum += lagged
+            if cur_block is not None:
+                cur_block[j] = slot
+            if drv_block is not None:
+                drv_block[j] = phi
+
+            # Euler-Maruyama damping and conditioning, meas = sqrt(eta eps) dW:
+            #   x <- (x + x (-dt/2)) + meas (1 + z - x x)
+            #   y <- (y + y (-dt/2)) - meas (x y)
+            #   z <- (z - (1 + z) dt) - meas (x (1 + z))
+            # The grouping is part of the determinism contract: regrouping a
+            # sum or product changes the last bits of every output.
+            mul(dw, meas_scale, meas)
+            add(z, one, one_z)
+            mul(x, x, tx)
+            mul(x, y, ty)
+            mul(x, one_z, tz)
+            sub(one_z, tx, tx)
+            mul(meas, tx, tx)
+            mul(meas, ty, ty)
+            mul(meas, tz, tz)
+            mul(xy, half_damp, pair_a)
+            add(xy, pair_a, xy)
+            mul(one_z, dt64, one_z)
+            sub(z, one_z, z)
+            add(x, tx, x)
+            sub(yz, terms[1:], yz)
+
+            # Exact feedback rotation about y by sqrt(eta) Phi dt:
+            #   x <- x cos + z sin,  z <- z cos - x sin.
+            mul(phi, theta_scale, tmp)
+            np.cos(tmp, cos_t)
+            np.sin(tmp, sin_t)
+            mul(xz, trig, pair_a)
+            mul(zx, trig, pair_b)
+            add(pair_a[0], pair_a[1], x)
+            sub(pair_b[0], pair_b[1], z)
+
+            # Purity budget, then projection of overshooting states.
+            mul(state, state, terms)
+            add(terms[0], terms[1], tmp)
+            add(tmp, terms[2], tmp)
+            worst = float(peak_of(tmp))
+            if worst > 1.0 + cap:
+                raise StepSizeError(
+                    f"step size too large: purity overshoot {worst - 1.0:.3e} at "
+                    f"t = {(k + 1) * dt:.4g} exceeds budget {cap:.3e}"
                 )
-        else:
-            phi = np.zeros(n)
+            if worst > 1.0:
+                np.maximum(tmp, one, out=tmp)
+                np.sqrt(tmp, tmp)
+                div(one, tmp, tmp)
+                mul(x, tmp, x)
+                mul(y, tmp, y)
+                mul(z, tmp, z)
 
-        current = meas_scale * x + np.sqrt(eps) * phi + dw / dt
+            if mask[k + 1]:
+                records[:, rec] = state.T
+                rec += 1
+
         if currents is not None:
-            currents[:, k] = current
+            currents[:, k0 : k0 + take] = cur_block[:take].T
         if drives is not None:
-            drives[:, k] = phi
-
-        meas = meas_scale * dw
-        one_z = 1.0 + z
-        tx = one_z - x * x
-        tz = -x * one_z
-        x_new = x + dt * (-0.5 * x) + meas * tx
-        y_new = y + dt * (-0.5 * y) + meas * (-x * y)
-        z_new = z + dt * (-one_z) + meas * tz
-        theta = (drive_scale * dt) * phi
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
-        x = x_new * cos_t + z_new * sin_t
-        y = y_new
-        z = -x_new * sin_t + z_new * cos_t
-
-        n2 = x * x + y * y + z * z
-        worst = float(np.max(n2))
-        if worst > 1.0 + cap:
-            raise StepSizeError(
-                f"step size too large: purity overshoot {worst - 1.0:.3e} at "
-                f"t = {(k + 1) * dt:.4g} exceeds budget {cap:.3e}"
-            )
-        if worst > 1.0:
-            fac = 1.0 / np.sqrt(np.maximum(n2, 1.0))
-            x *= fac
-            y *= fac
-            z *= fac
-
-        slot = k % m
-        if filter_mode == "uniform":
-            hist_sum += current - ring[slot]
-        elif filter_mode == "geometric":
-            hist_sum *= ratio
-            hist_sum += current - ratio_m * ring[slot]
-        ring[slot] = current
-        record(k + 1)
+            drives[:, k0 : k0 + take] = drv_block[:take].T
 
     mean = records.sum(axis=0) / n
     if n > 1:

@@ -236,3 +236,18 @@ def test_means_csv_columns(tmp_path):
     assert rows[0] == "t,x,y,z,se_x,se_y,se_z"
     first = [float(v) for v in rows[1].split(",")]
     assert first[0] == 0.0 and first[3] == -1.0
+
+
+def test_import_leaves_scipy_signal_and_optimize_unloaded():
+    # scipy.signal and scipy.optimize dominate import time; only the
+    # functions that need them import them
+    code = (
+        "import sys, inloop, inloop.cli; "
+        "print([m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules])"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

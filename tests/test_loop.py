@@ -246,6 +246,25 @@ def test_discrete_crossing_matches_dirichlet_sidelobe():
     assert_discrete_stable(LoopFilter.rectangular(1e-3), -19.0, 2.5e-5)
 
 
+def test_discrete_crossing_counts_nyquist_point():
+    # a 10-tap filter whose open-loop response meets the real axis only at
+    # theta = pi, where im is exactly zero and no sign flip is seen
+    s = np.linspace(0.0, 1e-3, 7)
+    filt = LoopFilter.from_samples(1e-3, np.exp(-s / 2.5e-4))
+    excess = discrete_crossing_excess(filt.discretize(1e-4), -19.0)
+    assert abs(excess - 3.92) < 0.01
+    poles = loop_recursion_poles(LoopConfig(g=-19.0, eps=0.95, eta=0.8, filter=filt), 1e-4)
+    assert np.max(np.abs(poles)) >= 1.0
+    with pytest.raises(InstabilityError):
+        assert_discrete_stable(filt, -19.0, 1e-4)
+    # the benchmark's single-pole loop stays stable, with both verdicts agreeing
+    sp = LoopFilter.single_pole(1e-3)
+    assert abs(discrete_crossing_excess(sp.discretize(1e-4), -19.0) - 0.949) < 1e-3
+    cfg = LoopConfig(g=-19.0, eps=0.95, eta=0.8, filter=sp)
+    assert np.max(np.abs(loop_recursion_poles(cfg, 1e-4))) < 1.0
+    assert_discrete_stable(sp, -19.0, 1e-4)
+
+
 def test_discrete_poles_inside_unit_circle_when_stable():
     cfg = fig2_loop()
     poles = loop_recursion_poles(cfg, 0.02)

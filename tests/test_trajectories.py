@@ -208,6 +208,45 @@ def test_engine_matches_step_conditioned():
         assert np.allclose(res.records[0, k + 1], s.bloch, atol=1e-13)
 
 
+SWEEP_SAMPLES = np.exp(-np.linspace(0.0, 5e-3, 7) / 1.25e-3)
+
+
+@pytest.mark.parametrize(
+    "filt, g, dt, duration",
+    [
+        (LoopFilter.rectangular(1e-2), -3.0, 1e-3, 0.3),  # uniform weights
+        (LoopFilter.single_pole(5e-3), -3.0, 5e-4, 0.3),  # geometric weights
+        (LoopFilter.from_samples(5e-3, SWEEP_SAMPLES), -19.0, 1e-4, 0.06),  # general
+    ],
+    ids=["uniform", "geometric", "general"],
+)
+def test_closed_loop_engine_matches_scalar_oracle(filt, g, dt, duration):
+    # every filter-evaluation mode of the engine against step_conditioned +
+    # feedback_drive driven by the same per-trajectory noise streams
+    eta, eps = 0.8, 0.95
+    cfg = make_config(
+        loop=LoopConfig(g=g, eps=eps, eta=eta, filter=filt),
+        dt=dt, duration=duration, n_traj=3, seed=42,
+        initial_state=AtomState(0.6, -0.3, 0.5), record_stride=1,
+        record_current=True, record_drive=True, phi_guard=1e5,
+    )
+    res = run_ensemble(cfg)
+    m_warm = int(round(filt.tau / dt))
+    for i in range(cfg.n_traj):
+        dws = np.random.default_rng(cfg.seed ^ i).standard_normal(res.n_steps) * np.sqrt(dt)
+        s = cfg.initial_state
+        states, currents, drives = [s.bloch], [], []
+        for k in range(res.n_steps):
+            phi = feedback_drive(currents, filt, g, eps, dt) if k >= m_warm else 0.0
+            currents.append(mean_current(s, phi, eta, eps) + dws[k] / dt)
+            drives.append(phi)
+            s = step_conditioned(s, phi, dws[k], dt, eta, eps)
+            states.append(s.bloch)
+        np.testing.assert_allclose(res.records[i], states, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(res.currents[i], currents, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(res.drives[i], drives, rtol=1e-12, atol=1e-12)
+
+
 def test_open_loop_ensemble_matches_master_equation():
     # g = 0: conditioning alone must not shift the ensemble mean
     cfg = make_config(duration=1.0, n_traj=4000, seed=101, initial_state=AtomState(0.8, 0.0, 0.2))
