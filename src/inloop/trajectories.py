@@ -48,10 +48,35 @@ not depend on the ensemble size, so member i equals the single run seeded
 seed XOR i bitwise; general weights take the feedback drive from a BLAS
 matrix-vector product, whose summation order may change with the ensemble
 size, so there the two agree to rounding.
+
+Wide ensembles run on every CPU the process may use.  With uniform or
+geometric weights the n trajectories are cut into
+min(len(os.sched_getaffinity(0)), n // MIN_SLICE) contiguous slices of
+near-equal width; when that is 2 or more, slice 0 runs in this process and
+every other slice in a forked worker.  Each slice steps its trajectories
+with the same kernel and writes their rows of the record, current and drive
+arrays, which live in an anonymous shared mapping, so nothing is copied
+back.  Trajectories are independent columns of the elementwise step, so
+the outputs are bitwise the same for any number of CPUs.  (The exception
+is a state that turns NaN, which needs phi_guard = inf: a NaN peak blinds
+the purity check and skips the projection for its whole slice.)  A failure is
+reported as the whole ensemble would meet it: each slice stops at its first
+failed check, and the earliest (step, check) over the slices is raised,
+with the largest value among the slices failing there.  General weights
+always run as one slice, because the BLAS product rounds differently with
+the width and offset of a slice.  One slice, the rule's result on one CPU
+and for narrow ensembles, is also taken where fork is unavailable, in a
+daemonic process (which may not have children) and while other threads are
+running (fork copies only the calling thread).  The workers' memory is not
+counted in this process's resource.getrusage(RUSAGE_SELF); it appears
+under RUSAGE_CHILDREN once they exit.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +112,9 @@ NOISE_BLOCK = 512
 # Generators fill their rows NOISE_TILE trajectories at a time, so that the
 # pass transposing a tile into step-major order reads from cache.
 NOISE_TILE = 64
+# Fewest trajectories per forked worker slice.  A narrower slice spends
+# more on the Python overhead of every step than it gains from the extra CPU.
+MIN_SLICE = 256
 
 
 @dataclass(frozen=True)
@@ -227,44 +255,76 @@ def _record_mask(n_steps: int, stride: int) -> np.ndarray:
     return mask
 
 
-def run_ensemble(cfg: TrajectoryConfig) -> EnsembleResult:
-    """Integrate an ensemble of conditioned trajectories in lockstep.
+def _filter_mode(weights: np.ndarray) -> tuple[str, float]:
+    """Phi evaluation strategy and geometric ratio: O(1) running sum for
+    flat weights, O(1) recursion for geometric weights, O(m) dot otherwise."""
+    if np.allclose(weights, weights[0], rtol=1e-12, atol=0.0):
+        return "uniform", 1.0
+    if weights.size >= 2 and np.allclose(
+        weights[1:] / weights[:-1], weights[1] / weights[0], rtol=1e-9, atol=0.0
+    ):
+        return "geometric", float(weights[1] / weights[0])
+    return "general", 0.0
 
-    Returns ensemble means and standard errors of (x, y, z) at the recorded
-    times.  Bitwise deterministic for fixed configuration (see module
-    docstring for the reduction contract).
-    """
-    cfg.validate()
-    assert_stable(cfg.loop)
-    n = cfg.n_traj
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What every trajectory slice of one run shares."""
+
+    cfg: TrajectoryConfig
+    n_steps: int
+    mask: np.ndarray
+    weights: np.ndarray
+    filter_mode: str
+    ratio: float
+
+
+# Failure kinds, numbered in the order a step checks them.  A slice reports
+# its first failure as (step, kind, value).
+_GUARD, _PURITY = 0, 1
+
+
+def _raise_first_failure(cfg: TrajectoryConfig, failures) -> None:
+    """Raise the failure the whole ensemble, stepped as one, meets first:
+    the earliest (step, kind) over the slices, valued by the largest value
+    among the slices failing there.  Every other slice ran that check within
+    bounds, so the value is the whole ensemble's."""
+    failed = [f for f in failures if f is not None]
+    if not failed:
+        return
+    k, kind = min(f[:2] for f in failed)
+    value = max(f[2] for f in failed if f[:2] == (k, kind))
     dt = cfg.dt
-    n_steps = int(round(cfg.duration / dt))
-    if n_steps < 1:
-        raise ParameterError("duration shorter than one step")
-    mask = _record_mask(n_steps, cfg.stride())
-    rec_steps = np.nonzero(mask)[0]
+    if kind == _GUARD:
+        raise InstabilityError(
+            f"feedback drive |Phi| = {value:.3g} exceeded the guard "
+            f"{cfg.phi_guard:.3g} at t = {k * dt:.4g}"
+        )
+    cap = min(PURITY_ABORT_FACTOR * dt, PURITY_ABORT_CEILING)
+    raise StepSizeError(
+        f"step size too large: purity overshoot {value - 1.0:.3e} at "
+        f"t = {(k + 1) * dt:.4g} exceeds budget {cap:.3e}"
+    )
+
+
+def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int):
+    """Step trajectories [lo, hi) in lockstep, writing their rows of the
+    output arrays.  Returns None, or the first failure as (step, kind,
+    value) where the rows are left partly written."""
+    cfg = plan.cfg
+    n = hi - lo
+    dt = cfg.dt
+    n_steps, mask, weights = plan.n_steps, plan.mask, plan.weights
+    records = records[lo:hi]
+    currents = currents[lo:hi] if currents is not None else None
+    drives = drives[lo:hi] if drives is not None else None
 
     g = cfg.loop.g
     eta, eps = cfg.loop.eta, cfg.loop.eps
-    weights = cfg.loop.filter.discretize(dt)
-    assert_discrete_stable(cfg.loop.filter, g, dt)
     m = weights.size
     m_warm = int(round(cfg.loop.filter.tau / dt))
-    # Phi evaluation strategy: O(1) running sum for flat weights, O(1)
-    # recursion for geometric weights, O(m) dot otherwise.
-    if np.allclose(weights, weights[0], rtol=1e-12, atol=0.0):
-        filter_mode = "uniform"
-        ratio = 1.0
-    elif m >= 2 and np.allclose(
-        weights[1:] / weights[:-1], weights[1] / weights[0], rtol=1e-9, atol=0.0
-    ):
-        filter_mode = "geometric"
-        ratio = float(weights[1] / weights[0])
-    else:
-        filter_mode = "general"
-        ratio = 0.0
-    general = filter_mode == "general"
-    geometric = filter_mode == "geometric"
+    general = plan.filter_mode == "general"
+    geometric = plan.filter_mode == "geometric"
     feedback = g != 0.0
     guard = cfg.phi_guard
     cap = min(PURITY_ABORT_FACTOR * dt, PURITY_ABORT_CEILING)
@@ -273,7 +333,7 @@ def run_ensemble(cfg: TrajectoryConfig) -> EnsembleResult:
     ratio_m, ratio, fb_scale, meas_scale, sqrt_eps, theta_scale, half_damp, dt64, one = (
         np.array(v, dtype=np.float64)
         for v in (
-            ratio**m, ratio, g / np.sqrt(eps), np.sqrt(eta * eps), np.sqrt(eps),
+            plan.ratio**m, plan.ratio, g / np.sqrt(eps), np.sqrt(eta * eps), np.sqrt(eps),
             np.sqrt(eta) * dt, -0.5 * dt, dt, 1.0,
         )
     )
@@ -283,7 +343,7 @@ def run_ensemble(cfg: TrajectoryConfig) -> EnsembleResult:
     # [o, o + m) of the reversed weights repeated twice, o = (-k) % m.
     lag_table = np.concatenate((weights[::-1], weights[::-1]))
 
-    rngs = [np.random.default_rng(cfg.seed ^ i) for i in range(n)]
+    rngs = [np.random.default_rng(cfg.seed ^ i) for i in range(lo, hi)]
 
     state = np.repeat(cfg.initial_state.bloch[:, None], n, axis=1)
     x, y, z = state
@@ -301,9 +361,6 @@ def run_ensemble(cfg: TrajectoryConfig) -> EnsembleResult:
     block = min(NOISE_BLOCK, n_steps)
     draws = np.empty((min(n, NOISE_TILE), block))
     noise = np.empty((block, n))
-    records = np.empty((n, rec_steps.size, 3))
-    currents = np.empty((n, n_steps)) if cfg.record_current else None
-    drives = np.empty((n, n_steps)) if cfg.record_drive else None
     cur_block = np.empty((block, n)) if currents is not None else None
     drv_block = np.empty((block, n)) if drives is not None else None
 
@@ -335,10 +392,7 @@ def run_ensemble(cfg: TrajectoryConfig) -> EnsembleResult:
                 np.abs(phi, tmp)
                 peak = float(peak_of(tmp))
                 if peak > guard:
-                    raise InstabilityError(
-                        f"feedback drive |Phi| = {peak:.3g} exceeded the guard "
-                        f"{guard:.3g} at t = {k * dt:.4g}"
-                    )
+                    return k, _GUARD, peak
 
             # The current meas_scale x + sqrt(eps) Phi + dW/dt goes straight
             # into its ring slot once the slot's oldest sample has been read.
@@ -392,16 +446,15 @@ def run_ensemble(cfg: TrajectoryConfig) -> EnsembleResult:
             add(pair_a[0], pair_a[1], x)
             sub(pair_b[0], pair_b[1], z)
 
-            # Purity budget, then projection of overshooting states.
+            # Purity budget, then projection of overshooting states.  The
+            # projection leaves a state inside the sphere bitwise unchanged,
+            # so skipping it when no state overshoots is exact.
             mul(state, state, terms)
             add(terms[0], terms[1], tmp)
             add(tmp, terms[2], tmp)
             worst = float(peak_of(tmp))
             if worst > 1.0 + cap:
-                raise StepSizeError(
-                    f"step size too large: purity overshoot {worst - 1.0:.3e} at "
-                    f"t = {(k + 1) * dt:.4g} exceeds budget {cap:.3e}"
-                )
+                return k, _PURITY, worst
             if worst > 1.0:
                 np.maximum(tmp, one, out=tmp)
                 np.sqrt(tmp, tmp)
@@ -418,6 +471,99 @@ def run_ensemble(cfg: TrajectoryConfig) -> EnsembleResult:
             currents[:, k0 : k0 + take] = cur_block[:take].T
         if drives is not None:
             drives[:, k0 : k0 + take] = drv_block[:take].T
+    return None
+
+
+def _slice_count(n: int, filter_mode: str) -> int:
+    """Number of trajectory slices to run in forked workers; 1 keeps the
+    whole ensemble in this process."""
+    if filter_mode == "general" or not hasattr(os, "sched_getaffinity"):
+        return 1
+    slices = min(len(os.sched_getaffinity(0)), n // MIN_SLICE)
+    if slices < 2:
+        return 1
+    import multiprocessing
+    import threading
+
+    # A daemonic process may not have children, and fork copies only the
+    # calling thread, so a lock another thread holds stays held in the child.
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+        or threading.active_count() > 1
+    ):
+        return 1
+    return slices
+
+
+def _shared_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """Float64 array in an anonymous shared mapping: forked workers write
+    it in place and this process reads their rows without a copy."""
+    import mmap
+
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
+
+
+# The slice kernel of a forked pool worker.  The pool initializer sets it
+# in the worker process only; the worker inherits the kernel and its shared
+# output arrays through the fork, where pickling would send copies.
+_worker_slice = None
+
+
+def _adopt_slice(run_slice) -> None:
+    global _worker_slice
+    _worker_slice = run_slice
+
+
+def _run_adopted_slice(lo: int, hi: int):
+    return _worker_slice(lo, hi)
+
+
+def _run_forked(run_slice, cuts: list[int]) -> list:
+    """Run slice i, trajectories [cuts[i], cuts[i + 1]), in a forked worker
+    for every i >= 1 and in this process for i = 0.  Returns each slice's
+    first failure or None; a dead worker raises BrokenProcessPool."""
+    from concurrent.futures.process import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(
+        len(cuts) - 2, mp_context=get_context("fork"),
+        initializer=_adopt_slice, initargs=(run_slice,),
+    ) as pool:
+        futures = [pool.submit(_run_adopted_slice, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        failures = [run_slice(cuts[0], cuts[1])]
+        return failures + [f.result() for f in futures]
+
+
+def _plan(cfg: TrajectoryConfig) -> _Plan:
+    """Validate a run and fix what all of its slices share."""
+    cfg.validate()
+    assert_stable(cfg.loop)
+    n_steps = int(round(cfg.duration / cfg.dt))
+    if n_steps < 1:
+        raise ParameterError("duration shorter than one step")
+    mask = _record_mask(n_steps, cfg.stride())
+    weights = cfg.loop.filter.discretize(cfg.dt)
+    assert_discrete_stable(cfg.loop.filter, cfg.loop.g, cfg.dt)
+    return _Plan(cfg, n_steps, mask, weights, *_filter_mode(weights))
+
+
+def _run_cuts(plan: _Plan, cuts: list[int], forked: bool) -> EnsembleResult:
+    """Run the ensemble as the trajectory slices [cuts[i], cuts[i + 1]),
+    in forked workers or one after another in this process, then reduce."""
+    cfg = plan.cfg
+    n = cfg.n_traj
+    empty = _shared_empty if forked else np.empty
+    rec_steps = np.nonzero(plan.mask)[0]
+    records = empty((n, rec_steps.size, 3))
+    currents = empty((n, plan.n_steps)) if cfg.record_current else None
+    drives = empty((n, plan.n_steps)) if cfg.record_drive else None
+    run_slice = functools.partial(_run_slice, plan, records, currents, drives)
+    if forked:
+        failures = _run_forked(run_slice, cuts)
+    else:
+        failures = [run_slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    _raise_first_failure(cfg, failures)
 
     mean = records.sum(axis=0) / n
     if n > 1:
@@ -426,15 +572,29 @@ def run_ensemble(cfg: TrajectoryConfig) -> EnsembleResult:
     else:
         stderr = np.full_like(mean, np.nan)
     return EnsembleResult(
-        times=rec_steps * dt,
+        times=rec_steps * cfg.dt,
         mean=mean,
         stderr=stderr,
         config=cfg,
-        n_steps=n_steps,
+        n_steps=plan.n_steps,
         records=records if cfg.keep_records else None,
         currents=currents,
         drives=drives,
     )
+
+
+def run_ensemble(cfg: TrajectoryConfig) -> EnsembleResult:
+    """Integrate an ensemble of conditioned trajectories in lockstep.
+
+    Returns ensemble means and standard errors of (x, y, z) at the recorded
+    times.  Bitwise deterministic for fixed configuration, whatever the
+    number of CPUs (see module docstring for the slice rule and the
+    reduction contract).
+    """
+    plan = _plan(cfg)
+    n = cfg.n_traj
+    slices = _slice_count(n, plan.filter_mode)
+    return _run_cuts(plan, [n * i // slices for i in range(slices + 1)], forked=slices > 1)
 
 
 @dataclass(frozen=True)

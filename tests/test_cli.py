@@ -251,3 +251,17 @@ def test_import_leaves_scipy_signal_and_optimize_unloaded():
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_import_leaves_process_pool_modules_unloaded():
+    # only wide ensembles, which run on forked workers, import the pool
+    code = (
+        "import sys, inloop, inloop.cli; print([m for m in "
+        "('multiprocessing', 'concurrent.futures.process', 'mmap') if m in sys.modules])"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

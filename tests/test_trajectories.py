@@ -1,5 +1,16 @@
 """Conditioned trajectories: stepper contracts, feedback drive, determinism,
-martingale property, purity bounds, decay-rate fits and the current PSD."""
+trajectory slices, martingale property, purity bounds, decay-rate fits and
+the current PSD."""
+
+import hashlib
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +20,14 @@ from inloop.errors import InstabilityError, ParameterError, StepSizeError
 from inloop.feedback import build_generator, evolve_path
 from inloop.loop import LoopConfig, LoopFilter, discrete_loop_transfer
 from inloop.trajectories import (
+    _GUARD,
+    _PURITY,
+    MIN_SLICE,
     TrajectoryConfig,
+    _plan,
+    _raise_first_failure,
+    _run_cuts,
+    _run_slice,
     ensemble_current_psd,
     feedback_drive,
     fit_decay_rate,
@@ -245,6 +263,203 @@ def test_closed_loop_engine_matches_scalar_oracle(filt, g, dt, duration):
         np.testing.assert_allclose(res.records[i], states, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(res.currents[i], currents, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(res.drives[i], drives, rtol=1e-12, atol=1e-12)
+
+
+# -- trajectory slices -------------------------------------------------------
+
+WIDE = 2 * MIN_SLICE + 37
+ODD_CUTS = [0, 1, 7, 64, 300, WIDE]
+TESTS = str(Path(__file__).resolve().parent)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+REAL_RNG = np.random.default_rng
+
+
+class SpikedGenerator:
+    """A generator whose draw at step k is multiplied by f, for each (k, f)."""
+
+    def __init__(self, rng, spikes):
+        self.rng, self.spikes, self.pos = rng, spikes, 0
+
+    def standard_normal(self, out):
+        self.rng.standard_normal(out=out)
+        for k, f in self.spikes:
+            if self.pos <= k < self.pos + out.size:
+                out[k - self.pos] *= f
+        self.pos += out.size
+        return out
+
+
+def spiked_streams(seed, spikes):
+    """Stand-in for np.random.default_rng: in an ensemble seeded `seed`,
+    trajectory i draws from its own stream with the step-k draw scaled by f
+    for each (i, k, f) in `spikes`."""
+
+    def make(stream_seed):
+        mine = [(k, f) for i, k, f in spikes if seed ^ i == stream_seed]
+        rng = REAL_RNG(stream_seed)
+        return SpikedGenerator(rng, mine) if mine else rng
+
+    return mock.patch.object(np.random, "default_rng", make)
+
+
+def slice_config(filt, duration=0.06, phi_guard=2e4, **kw):
+    return make_config(
+        loop=LoopConfig(g=-19.0, eps=0.95, eta=0.8, filter=filt),
+        dt=1e-4, duration=duration, n_traj=WIDE, seed=12345, phi_guard=phi_guard, **kw,
+    )
+
+
+UNIFORM, GEOMETRIC = LoopFilter.rectangular(1e-2), LoopFilter.single_pole(1e-3)
+GROUND = AtomState(0.0, 0.0, -1.0)
+
+# Runs that fail in several of the ODD_CUTS slices: (config, spikes, whether
+# every failing slice fails at the same step and check).  A ground-state
+# trajectory stays exactly in the ground state until the feedback starts at
+# step 100, so a warm-up spike trips the phi guard at step 100 with a peak
+# that grows with the spike; a spike on an x-polarized state trips the
+# purity budget at its own step.
+SLICE_FAILURES = {
+    "guard_and_purity_at_different_steps": (
+        slice_config(UNIFORM, initial_state=GROUND, phi_guard=5e3),
+        [(WIDE - 1, 5, 1e4), (3, 150, 1e4), (100, 180, 1e4)], False),
+    "purity_at_different_steps": (
+        slice_config(UNIFORM), [(WIDE - 1, 20, 300.0), (3, 45, 300.0)], False),
+    "guard_at_one_step_with_different_peaks": (
+        slice_config(UNIFORM, initial_state=GROUND, phi_guard=5e3),
+        [(3, 5, 1e4), (100, 10, 2e4), (WIDE - 1, 20, 3e4)], True),
+    "purity_at_one_step_with_different_peaks": (
+        slice_config(GEOMETRIC), [(3, 30, 200.0), (100, 30, 300.0), (WIDE - 1, 30, 400.0)], True),
+}
+
+RECORDED = dict(record_stride=7, record_current=True, record_drive=True)
+
+
+def slice_case_digests():
+    """SHA-256 of run_ensemble's outputs, or of its error's type and message,
+    for every slicing case, on as many slices as the CPU affinity allows."""
+    cases = {
+        "uniform": (slice_config(UNIFORM, **RECORDED), []),
+        "geometric": (slice_config(GEOMETRIC, **RECORDED), []),
+        "geometric_bare": (slice_config(GEOMETRIC, keep_records=False), []),
+    }
+    cases.update({name: case[:2] for name, case in SLICE_FAILURES.items()})
+    out = {}
+    for name, (cfg, spikes) in cases.items():
+        h = hashlib.sha256()
+        try:
+            with spiked_streams(cfg.seed, spikes):
+                res = run_ensemble(cfg)
+        except (InstabilityError, StepSizeError) as exc:
+            h.update(f"{type(exc).__name__}: {exc}".encode())
+        else:
+            for a in (res.mean, res.stderr, res.records, res.currents, res.drives):
+                h.update(b"-" if a is None else a.tobytes())
+        out[name] = h.hexdigest()
+    return out
+
+
+def assert_bitwise_equal(a, b):
+    for name in ("mean", "stderr", "records", "currents", "drives"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
+@pytest.mark.parametrize("filt", [UNIFORM, GEOMETRIC], ids=["uniform", "geometric"])
+def test_slices_leave_every_output_bitwise_unchanged(filt, forked):
+    # odd-width slices, run one after another or each in its own worker,
+    # against the ensemble stepped as one
+    cfg = slice_config(filt, **RECORDED)
+    whole = _run_cuts(_plan(cfg), [0, WIDE], forked=False)
+    assert_bitwise_equal(_run_cuts(_plan(cfg), ODD_CUTS, forked=forked), whole)
+    assert_bitwise_equal(run_ensemble(cfg), whole)
+
+
+@pytest.mark.parametrize("case", SLICE_FAILURES)
+def test_slice_failures_merge_to_the_whole_ensemble_failure(case):
+    cfg, spikes, same_step = SLICE_FAILURES[case]
+    plan = _plan(cfg)
+    with spiked_streams(cfg.seed, spikes):
+        rows = np.empty((WIDE, np.count_nonzero(plan.mask), 3))
+        failures = [f for f in (_run_slice(plan, rows, None, None, lo, hi)
+                                for lo, hi in zip(ODD_CUTS, ODD_CUTS[1:])) if f is not None]
+        with pytest.raises((InstabilityError, StepSizeError)) as whole:
+            _run_cuts(plan, [0, WIDE], forked=False)
+        for forked in (False, True):
+            with pytest.raises((InstabilityError, StepSizeError)) as cut:
+                _run_cuts(plan, ODD_CUTS, forked=forked)
+            assert type(cut.value) is type(whole.value)
+            assert str(cut.value) == str(whole.value)
+    # the failures really are spread as the case says
+    assert len(failures) == len(spikes)
+    firsts = {f[:2] for f in failures}
+    if same_step:
+        assert len(firsts) == 1 and len({f[2] for f in failures}) == len(failures)
+    else:
+        assert len(firsts) == len(failures)
+
+
+def test_first_failure_is_earliest_step_guard_first_then_largest_value():
+    cfg = slice_config(UNIFORM)
+    failures = [None, (12, _PURITY, 1.5), (12, _GUARD, 3e4), (30, _GUARD, 9e4), (12, _GUARD, 4e4)]
+    with pytest.raises(InstabilityError, match=r"\|Phi\| = 4e\+04 exceeded .* at t = 0\.0012$"):
+        _raise_first_failure(cfg, failures)
+    with pytest.raises(StepSizeError, match=r"overshoot 7\.000e-01 at t = 0\.0013 "):
+        _raise_first_failure(cfg, [(13, _GUARD, 1e5), (12, _PURITY, 1.5), (12, _PURITY, 1.7)])
+    _raise_first_failure(cfg, [None, None])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_one_cpu_run_matches_default_affinity_run():
+    # a process pinned to one CPU runs every case as one slice; at default
+    # affinity the same process forks workers when it has several CPUs
+    code = (
+        "import json, os, resource, sys\n"
+        f"sys.path.insert(0, {TESTS!r})\n"
+        "import test_trajectories as t\n"
+        "default = t.slice_case_digests()\n"
+        "forked = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime > 0\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "print(json.dumps(dict(default=default, pinned=t.slice_case_digests(), forked=forked)))\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=600,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["pinned"] == out["default"]
+    assert out["forked"] == (len(os.sched_getaffinity(0)) > 1)
+
+
+def _ensemble_in_pool_worker():
+    res = run_ensemble(slice_config(GEOMETRIC))
+    return res.mean, res.records
+
+
+def test_daemonic_pool_worker_runs_one_slice():
+    # a daemonic process may not have children: the ensemble stays in it
+    expected = run_ensemble(slice_config(GEOMETRIC))
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        mean, records = pool.apply_async(_ensemble_in_pool_worker).get(timeout=300)
+    assert mean.tobytes() == expected.mean.tobytes()
+    assert records.tobytes() == expected.records.tobytes()
+
+
+def test_dead_worker_raises_broken_pool():
+    parent = os.getpid()
+
+    def die_in_worker(seed):
+        if os.getpid() != parent:
+            os._exit(1)
+        return REAL_RNG(seed)
+
+    plan = _plan(slice_config(UNIFORM, duration=0.01))
+    with mock.patch.object(np.random, "default_rng", die_in_worker):
+        with pytest.raises(BrokenProcessPool):
+            _run_cuts(plan, [0, 300, WIDE], forked=True)
 
 
 def test_open_loop_ensemble_matches_master_equation():
