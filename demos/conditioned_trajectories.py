@@ -24,7 +24,7 @@ from inloop import (
     fit_decay_rate,
     run_ensemble,
 )
-from inloop.feedback import evolve_path
+from inloop.feedback import propagate
 
 ETA, EPS, GAIN = 0.8, 0.95, -19.0
 
@@ -54,7 +54,8 @@ def main():
         initial_state=AtomState(0.7, 0.0, 0.1),
     )
     res0 = run_ensemble(cfg0)
-    exact = evolve_path(build_generator(0.0, ETA, EPS), cfg0.initial_state, res0.times)
+    rs0 = build_generator(0.0, ETA, EPS).rate_set()
+    exact = propagate(rs0, cfg0.initial_state, res0.times)
     gap = np.max(np.abs(res0.mean - exact) / np.maximum(res0.stderr, 1e-4))
     print(f"open-loop ensemble versus exact master equation: max |gap| = {gap:.2f} sigma")
 

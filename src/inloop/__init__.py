@@ -7,10 +7,13 @@ loop to the atomic response:
   damping / conditioning / rotation superoperators in Bloch form);
 - `inloop.loop`: loop filters, transfer functions, stability, in-loop and
   photocurrent spectra, optimal gain, and a Monte Carlo loop simulator;
-- `inloop.feedback`: the Markovian feedback master equation, its decay
-  rates, steady state and exact propagation;
+- `inloop.feedback`: the Markovian feedback master equation and the model
+  layer both master equations share: a `RateSet` of decay rates with its
+  steady state, one `AffineGenerator` type, and `propagate`, the exact
+  solution of the decoupled Bloch equations;
 - `inloop.squeezed_bath`: the free broad-band squeezed bath used for
-  comparison, with the (N, M) parameter conversion;
+  comparison, built on the same `RateSet` and `AffineGenerator`, with the
+  (N, M) parameter conversion;
 - `inloop.spectra`: dipole correlation functions and fluorescence power
   spectra by quantum regression, analytic and numerical routes;
 - `inloop.trajectories`: conditioned stochastic trajectories with explicit
@@ -23,10 +26,10 @@ Times and frequencies are in units of the atomic lifetime throughout.
 from .bloch import AtomOperator, AtomState
 from .errors import ConfigError, InstabilityError, ParameterError, StepSizeError
 from .feedback import (
-    FeedbackGenerator,
+    AffineGenerator,
     RateSet,
     build_generator,
-    evolve,
+    propagate,
     rates,
     rates_from_squeezing,
     steady_state,
@@ -41,7 +44,6 @@ from .loop import (
     optimal_gain,
     simulate_classical_loop,
     squeezing_from_lambda,
-    transfer_function,
     welch_spectrum,
 )
 from .spectra import (
@@ -54,7 +56,6 @@ from .spectra import (
     total_flux,
 )
 from .squeezed_bath import (
-    SqueezedBathGenerator,
     build_squeezed_generator,
     free_rates,
     free_steady_state,
@@ -73,18 +74,17 @@ from .trajectories import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AffineGenerator",
     "AtomOperator",
     "AtomState",
     "ConfigError",
     "EnsembleResult",
-    "FeedbackGenerator",
     "InstabilityError",
     "LoopConfig",
     "LoopFilter",
     "ParameterError",
     "RateSet",
     "Spectrum",
-    "SqueezedBathGenerator",
     "StepSizeError",
     "TrajectoryConfig",
     "analytic_power_spectrum",
@@ -92,7 +92,6 @@ __all__ = [
     "build_squeezed_generator",
     "comparison_report",
     "correlation",
-    "evolve",
     "feedback_drive",
     "fit_decay_rate",
     "fit_lorentzian_pair",
@@ -106,6 +105,7 @@ __all__ = [
     "numerical_power_spectrum",
     "optimal_gain",
     "photon_parameters",
+    "propagate",
     "rates",
     "rates_from_squeezing",
     "run_ensemble",
@@ -114,6 +114,5 @@ __all__ = [
     "steady_state",
     "step_conditioned",
     "total_flux",
-    "transfer_function",
     "welch_spectrum",
 ]

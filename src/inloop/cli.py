@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, InstabilityError, ParameterError, StepSizeError
 from .bloch import AtomState
-from .feedback import rates, steady_state
+from .feedback import build_generator, rates
 from .loop import (
     LoopConfig,
     LoopFilter,
@@ -36,13 +36,8 @@ from .loop import (
     welch_spectrum,
 )
 from .output import load_config, reject_unknown, take, write_csv, write_manifest
-from .spectra import (
-    analytic_power_spectrum,
-    comparison_report,
-    model_rates_and_steady_state,
-    numerical_power_spectrum,
-)
-from .squeezed_bath import free_rates, free_steady_state, photon_parameters
+from .spectra import analytic_power_spectrum, comparison_report, numerical_power_spectrum
+from .squeezed_bath import build_squeezed_generator, free_rates, photon_parameters
 from .trajectories import TrajectoryConfig, ensemble_current_psd, run_ensemble
 
 EXIT_IO = 1
@@ -84,7 +79,7 @@ def cmd_rates(args) -> int:
             "lambda": lam,
             "g": g,
             "S_in": squeezing_from_lambda(lam, args.eta, args.eps),
-            "z_ss": steady_state(lam, args.eta, args.eps).z,
+            "z_ss": rs.steady_state().z,
             **rs.as_dict(),
         }
     if args.level is not None:
@@ -94,7 +89,7 @@ def cmd_rates(args) -> int:
             "L": args.level,
             "N": n,
             "M": m,
-            "z_ss": free_steady_state(args.eta, args.level).z,
+            "z_ss": rs.steady_state().z,
             **rs.as_dict(),
         }
     if not report:
@@ -165,33 +160,24 @@ def cmd_loop_sim(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    kw = {"eta": args.eta}
     if args.model == "feedback":
         if args.eps is None:
             raise ParameterError("the feedback model needs --eps")
         if (args.lam is None) == (args.g is None):
             raise ParameterError("give exactly one of --lambda or --g")
-        kw["eps"] = args.eps
-        kw["lam"] = args.lam if args.lam is not None else lambda_from_gain(args.g, args.eta)
+        lam = args.lam if args.lam is not None else lambda_from_gain(args.g, args.eta)
+        gen = build_generator(lam, args.eta, args.eps)
     else:
         if args.level is None:
             raise ParameterError("the free model needs --L")
-        kw["level"] = args.level
-    rs, z_ss = model_rates_and_steady_state(args.model, **kw)
+        gen = build_squeezed_generator(args.eta, args.level)
+    rs = gen.rate_set()
     grid = np.linspace(-args.omega_max, args.omega_max, args.points)
     if args.method == "analytic":
         spec = analytic_power_spectrum(rs, args.eta, grid)
     else:
-
-        class _Gen:
-            def rate_set(self):
-                return rs
-
-            def steady_state(self):
-                return AtomState(0.0, 0.0, z_ss)
-
         tau_max = args.tau_max or 200.0 / min(rs.gamma_x, rs.gamma_y)
-        spec = numerical_power_spectrum(_Gen(), args.eta, grid, tau_max, args.dtau)
+        spec = numerical_power_spectrum(gen, args.eta, grid, tau_max, args.dtau)
     out = _outdir(args) / args.out
     write_csv(out, {"omega": spec.grid, "value": spec.values},
               comments=[f"model = {args.model}", f"method = {args.method}"])

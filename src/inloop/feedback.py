@@ -25,6 +25,10 @@ through the in-loop squeezing S of the driving field, the narrowed rate is
 gamma_x = [(1 - eta) + eta S] / 2, the same dependence as for a free
 squeezed bath (see `inloop.squeezed_bath`).
 
+Both models share the model layer defined here: a `RateSet` (with its
+steady state), an `AffineGenerator` assembled from the superoperators, and
+`propagate`, the exact solution of the decoupled Bloch equations.
+
 Time is measured in units of the longitudinal atomic lifetime (the
 spontaneous decay rate is 1).
 """
@@ -63,8 +67,19 @@ class RateSet:
             "C": self.C,
         }
 
+    def steady_state(self) -> AtomState:
+        """Stationary state (0, 0, -C/gamma_z) of the Bloch equations."""
+        if self.gamma_z <= 0.0:
+            raise ParameterError("gamma_z must be positive for a steady state")
+        return AtomState(0.0, 0.0, -self.C / self.gamma_z)
 
-def _validate(lam: float, eta: float, eps: float) -> None:
+
+def rates(lam: float, eta: float, eps: float) -> RateSet:
+    """Closed-form decay rates of the feedback master equation.
+
+    Positive lam broadens the x quadrature, negative lam narrows it;
+    gamma_x is minimal at lam = -eta eps where it equals (1 - eta eps)/2.
+    """
     if not 0.0 < eta <= 1.0:
         raise ParameterError(f"mode matching eta must be in (0, 1], got {eta}")
     if not 0.0 < eps <= 1.0:
@@ -74,15 +89,6 @@ def _validate(lam: float, eta: float, eps: float) -> None:
             f"feedback strength lam must exceed -eta = {-eta} (got {lam}); "
             "stronger values are unreachable for any stable gain"
         )
-
-
-def rates(lam: float, eta: float, eps: float) -> RateSet:
-    """Closed-form decay rates of the feedback master equation.
-
-    Positive lam broadens the x quadrature, negative lam narrows it;
-    gamma_x is minimal at lam = -eta eps where it equals (1 - eta eps)/2.
-    """
-    _validate(lam, eta, eps)
     gx = 0.5 * (1.0 + 2.0 * lam + lam * lam / (eta * eps))
     gy = 0.5
     return RateSet(gamma_x=gx, gamma_y=gy, gamma_z=gx + gy, C=1.0 + lam)
@@ -101,46 +107,42 @@ def rates_from_squeezing(s_in: float, eta: float) -> float:
 def steady_state(lam: float, eta: float, eps: float) -> AtomState:
     """Stationary state (0, 0, -C/gamma_z); equivalently
     z_ss = -1 + lam^2 / [2 eta eps (1 + lam) + lam^2]."""
-    rs = rates(lam, eta, eps)
-    if rs.gamma_z <= 0.0:
-        raise ParameterError("gamma_z must be positive for a steady state")
-    return AtomState(0.0, 0.0, -rs.C / rs.gamma_z)
+    return rates(lam, eta, eps).steady_state()
 
 
 @dataclass(frozen=True, eq=False)
-class FeedbackGenerator:
-    """Affine Bloch-space generator of the feedback master equation.
+class AffineGenerator:
+    """Affine Bloch-space generator r_dot = drift @ r + constant of a master
+    equation whose Bloch equations decouple with the closed-form `rates`.
 
     `drift` and `constant` are assembled numerically from the superoperator
-    terms (damping, feedback coupling, feedback noise), so eigenvalues of
-    `drift` provide an independent check of the closed-form rates.
+    terms, so eigenvalues of `drift` provide an independent check of the
+    closed-form rates.
     """
 
-    lam: float
-    eta: float
-    eps: float
+    rates: RateSet
     drift: np.ndarray = field(repr=False)
     constant: np.ndarray = field(repr=False)
 
     def rate_set(self) -> RateSet:
-        return rates(self.lam, self.eta, self.eps)
+        return self.rates
 
     def steady_state(self) -> AtomState:
-        return steady_state(self.lam, self.eta, self.eps)
+        return self.rates.steady_state()
 
     def apply(self, s: AtomState) -> np.ndarray:
         """Bloch tangent drift @ r + constant."""
         return self.drift @ s.bloch + self.constant
 
 
-def build_generator(lam: float, eta: float, eps: float) -> FeedbackGenerator:
+def build_generator(lam: float, eta: float, eps: float) -> AffineGenerator:
     """Assemble the feedback master equation as an affine Bloch generator.
 
     The three terms are applied through the generic superoperators and
     tomographed into (drift, constant); trace preservation holds by
     construction since every term is trace free.
     """
-    _validate(lam, eta, eps)
+    rs = rates(lam, eta, eps)
     sigma = AtomOperator.lowering()
     half_sy = AtomOperator(0.0, 0.0, 0.5, 0.0)
     noise = lam * lam / (eta * eps)
@@ -153,32 +155,22 @@ def build_generator(lam: float, eta: float, eps: float) -> FeedbackGenerator:
         return t
 
     drift, constant = affine_generator(tangent)
-    return FeedbackGenerator(lam=lam, eta=eta, eps=eps, drift=drift, constant=constant)
+    return AffineGenerator(rs, drift, constant)
 
 
-def evolve(gen: FeedbackGenerator, s0: AtomState, t: float) -> AtomState:
-    """Exact propagation by time t >= 0: the Bloch components decay as
-    independent exponentials toward (0, 0, z_ss)."""
-    if t < 0.0:
-        raise ParameterError(f"evolution time must be nonnegative, got {t}")
-    rs = gen.rate_set()
-    zss = gen.steady_state().z
-    return AtomState(
-        s0.x * np.exp(-rs.gamma_x * t),
-        s0.y * np.exp(-rs.gamma_y * t),
-        zss + (s0.z - zss) * np.exp(-rs.gamma_z * t),
-    )
-
-
-def evolve_path(gen: FeedbackGenerator, s0: AtomState, ts) -> np.ndarray:
-    """Vectorized `evolve` over an array of times; returns shape (len(ts), 3)."""
-    ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 0.0):
+def propagate(rate_set: RateSet, s0: AtomState, t) -> np.ndarray:
+    """Exact propagation of s0 by time t >= 0 (a scalar or an array): the
+    Bloch components decay as independent exponentials toward the steady
+    state (0, 0, z_ss).  Returns Bloch vectors of shape np.shape(t) + (3,)."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
         raise ParameterError("evolution times must be nonnegative")
-    rs = gen.rate_set()
-    zss = gen.steady_state().z
-    out = np.empty((ts.size, 3))
-    out[:, 0] = s0.x * np.exp(-rs.gamma_x * ts)
-    out[:, 1] = s0.y * np.exp(-rs.gamma_y * ts)
-    out[:, 2] = zss + (s0.z - zss) * np.exp(-rs.gamma_z * ts)
-    return out
+    zss = rate_set.steady_state().z
+    return np.stack(
+        [
+            s0.x * np.exp(-rate_set.gamma_x * t),
+            s0.y * np.exp(-rate_set.gamma_y * t),
+            zss + (s0.z - zss) * np.exp(-rate_set.gamma_z * t),
+        ],
+        axis=-1,
+    )

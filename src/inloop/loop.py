@@ -198,11 +198,6 @@ class LoopConfig:
             raise ParameterError(f"mode matching eta must be in [0, 1], got {self.eta}")
 
 
-def transfer_function(filt: LoopFilter, omega) -> np.ndarray:
-    """Filter response h~(w); see `LoopFilter.transfer`."""
-    return filt.transfer(omega)
-
-
 def _stability_grid(filt: LoopFilter) -> np.ndarray:
     lo, hi = STABILITY_GRID_DECADES
     return np.logspace(lo, hi, STABILITY_GRID_POINTS) / filt.tau
@@ -403,8 +398,7 @@ def simulate_classical_loop(
     n = int(round(duration / dt))
     if n < 10:
         raise ParameterError("duration too short for the requested dt")
-    w = cfg.filter.discretize(dt)
-    poles = np.roots(np.concatenate(([1.0], -cfg.g * w)))
+    poles = loop_recursion_poles(cfg, dt)
     if np.max(np.abs(poles)) >= 1.0 - 1e-12:
         raise InstabilityError(
             f"discretized loop recursion is unstable (max pole modulus "
@@ -412,6 +406,7 @@ def simulate_classical_loop(
         )
     from scipy import signal
 
+    w = cfg.filter.discretize(dt)
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(dt)
     xi_nu = rng.standard_normal(n) * scale

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .feedback import RateSet, rates, steady_state
-from .squeezed_bath import free_rates, free_steady_state
+from .feedback import AffineGenerator, RateSet, rates
+from .squeezed_bath import free_rates
 
 CONVENTION = "one-sided transform; photon flux per unit angular frequency"
 
@@ -121,13 +121,13 @@ def _oscillatory_transform(samples: np.ndarray, dtau: float, grid: np.ndarray) -
 
 
 def numerical_power_spectrum(
-    gen, eta: float, grid, tau_max: float, dtau: float
+    gen: AffineGenerator, eta: float, grid, tau_max: float, dtau: float
 ) -> Spectrum:
     """Fluorescence spectrum by quadrature of the one-sided transform of the
     correlation function, with an analytic correction for the tail beyond
     tau_max (single exponential fitted to the last fifth of the samples).
 
-    `gen` is any generator exposing rate_set() and steady_state().
+    `gen` is the `AffineGenerator` of either model.
     """
     rs = gen.rate_set()
     z_ss = gen.steady_state().z
@@ -253,16 +253,3 @@ def comparison_report(
         p_natural=p_nat,
         natural_scale=peak,
     )
-
-
-def model_rates_and_steady_state(model: str, **kw) -> tuple[RateSet, float]:
-    """Rates and z_ss for 'feedback' (lam, eta, eps) or 'free' (eta, level)."""
-    if model == "feedback":
-        rs = rates(kw["lam"], kw["eta"], kw["eps"])
-        z = steady_state(kw["lam"], kw["eta"], kw["eps"]).z
-    elif model == "free":
-        rs = free_rates(kw["eta"], kw["level"])
-        z = free_steady_state(kw["eta"], kw["level"]).z
-    else:
-        raise ParameterError(f"unknown model {model!r}")
-    return rs, z

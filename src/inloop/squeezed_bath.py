@@ -28,25 +28,19 @@ L = 2N + 2M + 1), the conversion is closed form:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .bloch import AtomOperator, AtomState, affine_generator, dissipator
 from .errors import ParameterError
-from .feedback import RateSet
-
-
-def _validate(eta: float, level: float) -> None:
-    if not 0.0 <= eta <= 1.0:
-        raise ParameterError(f"mode matching eta must be in [0, 1], got {eta}")
-    if not level > 0.0:
-        raise ParameterError(f"X-quadrature level L must be positive, got {level}")
+from .feedback import AffineGenerator, RateSet
 
 
 def free_rates(eta: float, level: float) -> RateSet:
     """Closed-form decay rates for a free squeezed bath of X level L."""
-    _validate(eta, level)
+    if not 0.0 <= eta <= 1.0:
+        raise ParameterError(f"mode matching eta must be in [0, 1], got {eta}")
+    if not level > 0.0:
+        raise ParameterError(f"X-quadrature level L must be positive, got {level}")
     gx = 0.5 * ((1.0 - eta) + eta * level)
     gy = 0.5 * ((1.0 - eta) + eta / level)
     return RateSet(gamma_x=gx, gamma_y=gy, gamma_z=gx + gy, C=1.0)
@@ -65,37 +59,14 @@ def photon_parameters(level: float) -> tuple[float, float]:
 
 def free_steady_state(eta: float, level: float) -> AtomState:
     """Stationary state (0, 0, -1/(gamma_x + gamma_y))."""
-    rs = free_rates(eta, level)
-    if rs.gamma_z <= 0.0:
-        raise ParameterError("gamma_z must be positive for a steady state")
-    return AtomState(0.0, 0.0, -rs.C / rs.gamma_z)
+    return free_rates(eta, level).steady_state()
 
 
-@dataclass(frozen=True, eq=False)
-class SqueezedBathGenerator:
-    """Affine Bloch-space generator of the squeezed-bath master equation,
-    assembled numerically from its two damping terms."""
-
-    eta: float
-    level: float
-    drift: np.ndarray = field(repr=False)
-    constant: np.ndarray = field(repr=False)
-
-    def rate_set(self) -> RateSet:
-        return free_rates(self.eta, self.level)
-
-    def steady_state(self) -> AtomState:
-        return free_steady_state(self.eta, self.level)
-
-    def apply(self, s: AtomState) -> np.ndarray:
-        return self.drift @ s.bloch + self.constant
-
-
-def build_squeezed_generator(eta: float, level: float) -> SqueezedBathGenerator:
+def build_squeezed_generator(eta: float, level: float) -> AffineGenerator:
     """Assemble the squeezed-bath master equation as an affine Bloch
     generator.  The single jump operator of the squeezed channel is
     (L+1) sigma - (L-1) sigma+ = sigma_x - i L sigma_y."""
-    _validate(eta, level)
+    rs = free_rates(eta, level)
     sigma = AtomOperator.lowering()
     jump = AtomOperator(0.0, 1.0, -1.0j * level, 0.0)
     w_vac = 1.0 - eta
@@ -105,17 +76,4 @@ def build_squeezed_generator(eta: float, level: float) -> SqueezedBathGenerator:
         return w_vac * dissipator(sigma, s) + w_sq * dissipator(jump, s)
 
     drift, constant = affine_generator(tangent)
-    return SqueezedBathGenerator(eta=eta, level=level, drift=drift, constant=constant)
-
-
-def free_evolve(gen: SqueezedBathGenerator, s0: AtomState, t: float) -> AtomState:
-    """Exact propagation under the squeezed-bath Bloch equations."""
-    if t < 0.0:
-        raise ParameterError(f"evolution time must be nonnegative, got {t}")
-    rs = gen.rate_set()
-    zss = gen.steady_state().z
-    return AtomState(
-        s0.x * np.exp(-rs.gamma_x * t),
-        s0.y * np.exp(-rs.gamma_y * t),
-        zss + (s0.z - zss) * np.exp(-rs.gamma_z * t),
-    )
+    return AffineGenerator(rs, drift, constant)

@@ -57,9 +57,7 @@ every other slice in a forked worker.  Each slice steps its trajectories
 with the same kernel and writes their rows of the record, current and drive
 arrays, which live in an anonymous shared mapping, so nothing is copied
 back.  Trajectories are independent columns of the elementwise step, so
-the outputs are bitwise the same for any number of CPUs.  (The exception
-is a state that turns NaN, which needs phi_guard = inf: a NaN peak blinds
-the purity check and skips the projection for its whole slice.)  A failure is
+the outputs are bitwise the same for any number of CPUs.  A failure is
 reported as the whole ensemble would meet it: each slice stops at its first
 failed check, and the earliest (step, check) over the slices is raised,
 with the largest value among the slices failing there.  General weights
@@ -123,8 +121,8 @@ class TrajectoryConfig:
 
     dt must resolve both the filter (dt <= tau/10) and the atomic dynamics
     (dt <= 1e-2, lifetimes = 1).  `record_stride` subsamples the stored
-    trajectory records (default ~ every 0.01 lifetimes); `phi_guard` aborts
-    on runaway feedback drive.
+    trajectory records (default ~ every 0.01 lifetimes); `phi_guard`
+    (positive and finite) aborts on runaway feedback drive.
     """
 
     loop: LoopConfig
@@ -152,8 +150,8 @@ class TrajectoryConfig:
             raise ParameterError(f"dt = {self.dt} must be at most 1e-2 lifetimes")
         if self.n_traj < 1:
             raise ParameterError("need at least one trajectory")
-        if self.phi_guard <= 0.0:
-            raise ParameterError("phi_guard must be positive")
+        if not 0.0 < self.phi_guard < np.inf:
+            raise ParameterError(f"phi_guard must be positive and finite, got {self.phi_guard}")
         self.initial_state.validate()
         return self
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from inloop.bloch import AtomState, bloch_to_matrix, smallest_choi_eigenvalue
-from inloop.feedback import build_generator, evolve, rates, rates_from_squeezing, steady_state
+from inloop.feedback import build_generator, propagate, rates, rates_from_squeezing, steady_state
 from inloop.loop import (
     LoopConfig,
     LoopFilter,
@@ -237,7 +237,9 @@ def test_criterion_7_positivity_and_trace_suite():
     purity_ok = worst_purity <= 1.0 + 1e-9
 
     # trace and Hermiticity on a sample of propagated states
-    s = evolve(build_generator(LAM, ETA, EPS), AtomState(0.6, 0.3, 0.2), 0.7)
+    s = AtomState.from_bloch(
+        propagate(build_generator(LAM, ETA, EPS).rate_set(), AtomState(0.6, 0.3, 0.2), 0.7)
+    )
     rho = bloch_to_matrix(s)
     trace_ok = abs(np.trace(rho) - 1.0) < 1e-14 and np.max(np.abs(rho - rho.conj().T)) < 1e-14
 

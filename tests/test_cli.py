@@ -10,6 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from inloop.feedback import build_generator
+from inloop.loop import lambda_from_gain
+from inloop.spectra import analytic_power_spectrum, numerical_power_spectrum
+from inloop.squeezed_bath import build_squeezed_generator
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 TRAJ_CONFIG = """\
@@ -149,6 +154,42 @@ def test_spectrum_numerical(tmp_path):
             if not l.startswith("#")]
     assert rows[0] == "omega,value"
     assert len(rows) == 42
+
+
+@pytest.mark.parametrize("method", ["analytic", "numerical"])
+@pytest.mark.parametrize("model", ["feedback", "free"])
+def test_spectrum_csv_matches_library(tmp_path, model, method):
+    if model == "feedback":
+        args = ["--eps", "0.95", "--g", "-19"]
+        gen = build_generator(lambda_from_gain(-19.0, 0.8), 0.8, 0.95)
+    else:
+        args = ["--L", "0.05"]
+        gen = build_squeezed_generator(0.8, 0.05)
+    tau_max, dtau = 200.0, 2e-3
+    r = run_cli(
+        "spectrum", "--model", model, "--eta", "0.8", *args, "--method", method,
+        "--tau-max", str(tau_max), "--dtau", str(dtau), "--points", "21",
+        "--outdir", str(tmp_path), cwd=tmp_path,
+    )
+    assert r.returncode == 0, r.stderr
+    table = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", comments="#", skiprows=3)
+    grid = np.linspace(-3.0, 3.0, 21)
+    if method == "analytic":
+        spec = analytic_power_spectrum(gen.rate_set(), 0.8, grid)
+    else:
+        spec = numerical_power_spectrum(gen, 0.8, grid, tau_max, dtau)
+    assert np.allclose(table[:, 0], grid, rtol=1e-12, atol=0.0)
+    assert np.allclose(table[:, 1], spec.values, rtol=1e-12, atol=0.0)
+
+
+def test_trajectories_rejects_infinite_phi_guard(tmp_path):
+    (tmp_path / "traj.cfg").write_text(TRAJ_CONFIG.replace("phi_guard = 2e4", "phi_guard = inf"))
+    out = tmp_path / "out"
+    r = run_cli("trajectories", "--config", "traj.cfg", "--seed", "9",
+                "--outdir", str(out), cwd=tmp_path)
+    assert r.returncode == 4
+    assert "phi_guard must be positive and finite" in r.stderr
+    assert not out.exists()
 
 
 def test_trajectories_golden_determinism(tmp_path):

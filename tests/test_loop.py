@@ -22,7 +22,6 @@ from inloop.loop import (
     ray_crossing_excess,
     simulate_classical_loop,
     squeezing_from_lambda,
-    transfer_function,
     welch_spectrum,
 )
 
@@ -44,21 +43,21 @@ def test_transfer_normalization_all_kinds():
         LoopFilter.from_samples(1.0, np.linspace(1.0, 0.2, 33)),
     ]
     for f in filters:
-        assert abs(transfer_function(f, 0.0) - 1.0) < 1e-12
+        assert abs(f.transfer(0.0) - 1.0) < 1e-12
         w = np.linspace(0.0, 40.0, 300)
-        assert np.all(np.abs(transfer_function(f, w)) <= 1.0 + 1e-9)
+        assert np.all(np.abs(f.transfer(w)) <= 1.0 + 1e-9)
 
 
 def test_rectangular_transfer_zero_and_closed_form():
-    assert abs(transfer_function(RECT, 2.0 * np.pi)) < 1e-14
+    assert abs(RECT.transfer(2.0 * np.pi)) < 1e-14
     w = np.array([0.3, 1.7, 9.2])
     expected = (np.exp(1j * w) - 1.0) / (1j * w)
-    assert np.allclose(transfer_function(RECT, w), expected, atol=1e-12)
+    assert np.allclose(RECT.transfer(w), expected, atol=1e-12)
 
 
 def test_transfer_decays_at_high_frequency():
     for f in [RECT, LoopFilter.exponential(1.0), LoopFilter.single_pole(1.0)]:
-        assert abs(transfer_function(f, 1e4)) < 0.01
+        assert abs(f.transfer(1e4)) < 0.01
 
 
 def test_filter_density_normalized():

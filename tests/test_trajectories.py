@@ -17,7 +17,7 @@ import pytest
 
 from inloop.bloch import AtomState
 from inloop.errors import InstabilityError, ParameterError, StepSizeError
-from inloop.feedback import build_generator, evolve_path
+from inloop.feedback import build_generator, propagate
 from inloop.loop import LoopConfig, LoopFilter, discrete_loop_transfer
 from inloop.trajectories import (
     _GUARD,
@@ -157,6 +157,15 @@ def test_config_validation():
         make_config(n_traj=0).validate()
     with pytest.raises(ParameterError):
         make_config(initial_state=AtomState(1.0, 1.0, 1.0)).validate()
+
+
+@pytest.mark.parametrize("guard", [0.0, -1.0, np.inf, np.nan])
+def test_config_rejects_nonpositive_or_nonfinite_phi_guard(guard):
+    # an infinite guard lets an overflowing drive turn states NaN
+    with pytest.raises(ParameterError, match="phi_guard must be positive and finite"):
+        make_config(phi_guard=guard).validate()
+    with pytest.raises(ParameterError, match="phi_guard"):
+        run_ensemble(make_config(phi_guard=guard, duration=0.01, n_traj=2))
 
 
 def test_rejects_discretely_unstable_loop():
@@ -467,7 +476,7 @@ def test_open_loop_ensemble_matches_master_equation():
     cfg = make_config(duration=1.0, n_traj=4000, seed=101, initial_state=AtomState(0.8, 0.0, 0.2))
     res = run_ensemble(cfg)
     gen = build_generator(0.0, 0.8, 0.95)
-    exact = evolve_path(gen, cfg.initial_state, res.times)
+    exact = propagate(gen.rate_set(), cfg.initial_state, res.times)
     for t_probe in (0.3, 0.6, 1.0):
         i = int(np.argmin(np.abs(res.times - t_probe)))
         for c in range(3):
@@ -488,7 +497,7 @@ def test_martingale_property_various_efficiencies():
         )
         res = run_ensemble(cfg)
         gen = build_generator(0.0, 0.8, 0.95)  # rates are (eta, eps)-independent at g=0
-        exact = evolve_path(gen, cfg.initial_state, res.times)
+        exact = propagate(gen.rate_set(), cfg.initial_state, res.times)
         i = int(np.argmin(np.abs(res.times - 1.0)))
         for c in range(3):
             se = max(res.stderr[i, c], 1e-4)
