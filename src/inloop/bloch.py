@@ -96,10 +96,6 @@ class AtomState:
         return cls(0.0, 0.0, -1.0)
 
     @classmethod
-    def excited(cls) -> "AtomState":
-        return cls(0.0, 0.0, 1.0)
-
-    @classmethod
     def from_bloch(cls, r) -> "AtomState":
         r = np.asarray(r, dtype=float)
         return cls(float(r[0]), float(r[1]), float(r[2]))
@@ -138,22 +134,6 @@ class AtomOperator:
             and abs(self.az.imag) <= 1e-12 * scale
         )
 
-    def dagger(self) -> "AtomOperator":
-        return AtomOperator(
-            np.conj(self.a0), np.conj(self.ax), np.conj(self.ay), np.conj(self.az)
-        )
-
-    def __add__(self, other: "AtomOperator") -> "AtomOperator":
-        return AtomOperator(
-            self.a0 + other.a0,
-            self.ax + other.ax,
-            self.ay + other.ay,
-            self.az + other.az,
-        )
-
-    def __rmul__(self, c: complex) -> "AtomOperator":
-        return AtomOperator(c * self.a0, c * self.ax, c * self.ay, c * self.az)
-
     @classmethod
     def from_matrix(cls, m) -> "AtomOperator":
         m = np.asarray(m, dtype=complex)
@@ -168,18 +148,6 @@ class AtomOperator:
     @classmethod
     def raising(cls) -> "AtomOperator":
         return cls(0.0, 0.5, 0.5j, 0.0)
-
-    @classmethod
-    def sigma_x(cls) -> "AtomOperator":
-        return cls(0.0, 1.0, 0.0, 0.0)
-
-    @classmethod
-    def sigma_y(cls) -> "AtomOperator":
-        return cls(0.0, 0.0, 1.0, 0.0)
-
-    @classmethod
-    def sigma_z(cls) -> "AtomOperator":
-        return cls(0.0, 0.0, 0.0, 1.0)
 
     @classmethod
     def identity(cls) -> "AtomOperator":

@@ -64,6 +64,63 @@ def _filter_from(kind: str, tau: float, time_constant: float | None) -> LoopFilt
     raise ParameterError(f"unsupported filter kind {kind!r}")
 
 
+def _omega_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    if points < 1:
+        raise ParameterError(f"--points must be at least 1, got {points}")
+    return np.linspace(lo, hi, points)
+
+
+# Config keys of the stochastic runs as (key, type, default), in the order
+# they are read; _REQUIRED marks a key without a default.
+_REQUIRED = object()
+_LOOP_KEYS = (
+    ("g", float, _REQUIRED),
+    ("eps", float, _REQUIRED),
+    ("eta", float, _REQUIRED),
+    ("filter", str, "rectangular"),
+    ("tau", float, _REQUIRED),
+    ("time_constant", float, None),
+    ("dt", float, _REQUIRED),
+    ("duration", float, _REQUIRED),
+)
+_LOOP_SIM_KEYS = _LOOP_KEYS + (
+    ("seed", int, None),
+    ("nperseg", int, None),
+    ("emit_records", bool, False),
+)
+_TRAJECTORY_KEYS = _LOOP_KEYS + (
+    ("n_traj", int, _REQUIRED),
+    ("seed", int, None),
+    ("x0", float, 0.0),
+    ("y0", float, 0.0),
+    ("z0", float, -1.0),
+    ("record_stride", int, None),
+    ("record_current", bool, False),
+    ("phi_guard", float, 1e3),
+    ("nperseg", int, None),
+)
+
+
+def _read_run_config(args, keys, command: str) -> tuple[dict, LoopConfig]:
+    """Read the --config file of a stochastic run: every key in table order,
+    then reject the rest; --seed overrides the file's seed.  Returns the
+    resolved values without the unset ones, which is the manifest config,
+    and the loop they describe."""
+    config = load_config(args.config)
+    run = {
+        key: take(config, key, kind, default=default, required=default is _REQUIRED)
+        for key, kind, default in keys
+    }
+    reject_unknown(config, command)
+    if args.seed is not None:
+        run["seed"] = args.seed
+    if run["seed"] is None:
+        raise ConfigError("stochastic run needs a seed (--seed or config key)")
+    filt = _filter_from(run["filter"], run["tau"], run["time_constant"])
+    loop = LoopConfig(g=run["g"], eps=run["eps"], eta=run["eta"], filter=filt)
+    return {k: v for k, v in run.items() if v is not None}, loop
+
+
 def cmd_rates(args) -> int:
     report: dict = {}
     feedback_args = [args.lam, args.g]
@@ -105,7 +162,7 @@ def cmd_rates(args) -> int:
 def cmd_loop_spectrum(args) -> int:
     filt = _filter_from(args.filter, args.tau, args.time_constant)
     cfg = LoopConfig(g=args.g, eps=args.eps, eta=args.eta, filter=filt)
-    omega = np.linspace(args.omega_min, args.omega_max, args.points)
+    omega = _omega_grid(args.omega_min, args.omega_max, args.points)
     values = in_loop_spectrum(cfg, omega) if args.quantity == "in" else homodyne_spectrum(cfg, omega)
     out = _outdir(args) / args.out
     write_csv(out, {"omega": omega, "value": values}, comments=[f"quantity = S_{args.quantity}"])
@@ -114,47 +171,22 @@ def cmd_loop_spectrum(args) -> int:
 
 
 def cmd_loop_sim(args) -> int:
-    config = load_config(args.config)
-    g = take(config, "g", float, required=True)
-    eps = take(config, "eps", float, required=True)
-    eta = take(config, "eta", float, required=True)
-    kind = take(config, "filter", str, default="rectangular")
-    tau = take(config, "tau", float, required=True)
-    time_constant = take(config, "time_constant", float)
-    dt = take(config, "dt", float, required=True)
-    duration = take(config, "duration", float, required=True)
-    config_seed = take(config, "seed", int)
-    seed = args.seed if args.seed is not None else config_seed
-    nperseg = take(config, "nperseg", int)
-    emit_records = take(config, "emit_records", bool, default=False)
-    reject_unknown(config, "loop-sim")
-    if seed is None:
-        raise ConfigError("stochastic run needs a seed (--seed or config key)")
-
-    cfg = LoopConfig(g=g, eps=eps, eta=eta, filter=_filter_from(kind, tau, time_constant))
-    record = simulate_classical_loop(cfg, dt, duration, seed)
+    run, loop = _read_run_config(args, _LOOP_SIM_KEYS, "loop-sim")
+    dt = run["dt"]
+    record = simulate_classical_loop(loop, dt, run["duration"], run["seed"])
     outdir = _outdir(args)
     outputs = []
 
     for name, series in (("psd_xin.csv", record.x_in), ("psd_current.csv", record.current)):
-        omega, psd = welch_spectrum(series, dt, nperseg=nperseg)
+        omega, psd = welch_spectrum(series, dt, nperseg=run.get("nperseg"))
         write_csv(outdir / name, {"omega": omega, "value": psd})
         outputs.append(name)
-    if emit_records:
+    if run["emit_records"]:
         for name, series in (("xin.csv", record.x_in), ("current.csv", record.current)):
             write_csv(outdir / name, {"t": record.times, "value": series})
             outputs.append(name)
 
-    manifest_cfg = {
-        "g": g, "eps": eps, "eta": eta, "filter": kind, "tau": tau,
-        "dt": dt, "duration": duration, "seed": seed,
-        "emit_records": emit_records,
-    }
-    if time_constant is not None:
-        manifest_cfg["time_constant"] = time_constant
-    if nperseg is not None:
-        manifest_cfg["nperseg"] = nperseg
-    write_manifest(outdir / "loop_manifest.json", "loop-sim", manifest_cfg, outputs)
+    write_manifest(outdir / "loop_manifest.json", "loop-sim", run, outputs)
     print(f"wrote {', '.join(outputs)} and loop_manifest.json in {outdir}")
     return 0
 
@@ -172,7 +204,7 @@ def cmd_spectrum(args) -> int:
             raise ParameterError("the free model needs --L")
         gen = build_squeezed_generator(args.eta, args.level)
     rs = gen.rate_set()
-    grid = np.linspace(-args.omega_max, args.omega_max, args.points)
+    grid = _omega_grid(-args.omega_max, args.omega_max, args.points)
     if args.method == "analytic":
         spec = analytic_power_spectrum(rs, args.eta, grid)
     else:
@@ -207,40 +239,17 @@ def cmd_fig2(args) -> int:
 
 
 def cmd_trajectories(args) -> int:
-    config = load_config(args.config)
-    g = take(config, "g", float, required=True)
-    eps = take(config, "eps", float, required=True)
-    eta = take(config, "eta", float, required=True)
-    kind = take(config, "filter", str, default="rectangular")
-    tau = take(config, "tau", float, required=True)
-    time_constant = take(config, "time_constant", float)
-    dt = take(config, "dt", float, required=True)
-    duration = take(config, "duration", float, required=True)
-    n_traj = take(config, "n_traj", int, required=True)
-    config_seed = take(config, "seed", int)
-    seed = args.seed if args.seed is not None else config_seed
-    x0 = take(config, "x0", float, default=0.0)
-    y0 = take(config, "y0", float, default=0.0)
-    z0 = take(config, "z0", float, default=-1.0)
-    record_stride = take(config, "record_stride", int)
-    record_current = take(config, "record_current", bool, default=False)
-    phi_guard = take(config, "phi_guard", float, default=1e3)
-    nperseg = take(config, "nperseg", int)
-    reject_unknown(config, "trajectories")
-    if seed is None:
-        raise ConfigError("stochastic run needs a seed (--seed or config key)")
-
-    loop_cfg = LoopConfig(g=g, eps=eps, eta=eta, filter=_filter_from(kind, tau, time_constant))
+    run, loop = _read_run_config(args, _TRAJECTORY_KEYS, "trajectories")
     cfg = TrajectoryConfig(
-        loop=loop_cfg,
-        dt=dt,
-        duration=duration,
-        n_traj=n_traj,
-        seed=seed,
-        initial_state=AtomState(x0, y0, z0),
-        record_stride=record_stride,
-        record_current=record_current,
-        phi_guard=phi_guard,
+        loop=loop,
+        dt=run["dt"],
+        duration=run["duration"],
+        n_traj=run["n_traj"],
+        seed=run["seed"],
+        initial_state=AtomState(run["x0"], run["y0"], run["z0"]),
+        record_stride=run.get("record_stride"),
+        record_current=run["record_current"],
+        phi_guard=run["phi_guard"],
     )
     result = run_ensemble(cfg)
     outdir = _outdir(args)
@@ -257,23 +266,13 @@ def cmd_trajectories(args) -> int:
             "se_z": result.stderr[:, 2],
         },
     )
-    if record_current:
-        omega, psd = ensemble_current_psd(result, nperseg=nperseg)
+    if cfg.record_current:
+        omega, psd = ensemble_current_psd(result, nperseg=run.get("nperseg"))
         write_csv(outdir / "current_psd.csv", {"omega": omega, "value": psd})
         outputs.append("current_psd.csv")
 
-    manifest_cfg = {
-        "g": g, "eps": eps, "eta": eta, "filter": kind, "tau": tau,
-        "dt": dt, "duration": duration, "n_traj": n_traj, "seed": seed,
-        "x0": x0, "y0": y0, "z0": z0,
-        "record_stride": cfg.stride(),
-        "record_current": record_current, "phi_guard": phi_guard,
-    }
-    if time_constant is not None:
-        manifest_cfg["time_constant"] = time_constant
-    if nperseg is not None:
-        manifest_cfg["nperseg"] = nperseg
-    write_manifest(outdir / "trajectories_manifest.json", "trajectories", manifest_cfg, outputs)
+    run["record_stride"] = cfg.stride()
+    write_manifest(outdir / "trajectories_manifest.json", "trajectories", run, outputs)
     print(f"wrote {', '.join(outputs)} and trajectories_manifest.json in {outdir}")
     return 0
 

@@ -29,8 +29,8 @@ zeros (the rectangular filter with strongly negative gain is a stable
 example it would reject).  The check used here is the Nyquist criterion in
 its practical form: the loop is unstable iff the open-loop response
 g h~(w) crosses the real axis at or beyond +1.  Simulations additionally
-verify that the discretized loop recursion has all poles inside the unit
-circle.
+apply the same crossing test to the response of the discretized loop
+(`assert_discrete_stable`); `loop_recursion_poles` is its exact reference.
 """
 
 from __future__ import annotations
@@ -203,24 +203,26 @@ def _stability_grid(filt: LoopFilter) -> np.ndarray:
     return np.logspace(lo, hi, STABILITY_GRID_POINTS) / filt.tau
 
 
+def _real_axis_max(resp: np.ndarray, on_axis: np.ndarray) -> float:
+    """Largest real part of a sampled response at the points `on_axis`
+    marks as lying on the real axis and at its crossings between samples,
+    found by linear interpolation at each sign flip of the imaginary part;
+    -inf if there are neither."""
+    re, im = resp.real, resp.imag
+    flips = np.nonzero(im[:-1] * im[1:] < 0.0)[0]
+    frac = im[flips] / (im[flips] - im[flips + 1])
+    cross = re[flips] + frac * (re[flips + 1] - re[flips])
+    return float(np.max(np.concatenate((cross, re[on_axis])), initial=-np.inf))
+
+
 def ray_crossing_excess(cfg: LoopConfig) -> float:
     """Largest real part of the open-loop response g h~(w) where its locus
     crosses (or touches) the real axis; >= 1 signals an encirclement of
     the critical point, i.e. instability.  The zero-frequency value g is
     always a real-axis point."""
-    w = _stability_grid(cfg.filter)
-    resp = cfg.g * cfg.filter.transfer(w)
-    re, im = resp.real, resp.imag
-    worst = cfg.g
-    flips = np.nonzero(im[:-1] * im[1:] < 0.0)[0]
-    if flips.size:
-        frac = im[flips] / (im[flips] - im[flips + 1])
-        cross = re[flips] + frac * (re[flips + 1] - re[flips])
-        worst = max(worst, float(np.max(cross)))
-    touches = np.abs(im) < 1e-14 * np.maximum(np.abs(re), 1.0)
-    if np.any(touches):
-        worst = max(worst, float(np.max(re[touches])))
-    return worst
+    resp = cfg.g * cfg.filter.transfer(_stability_grid(cfg.filter))
+    touches = np.abs(resp.imag) < 1e-14 * np.maximum(np.abs(resp.real), 1.0)
+    return max(cfg.g, _real_axis_max(resp, touches))
 
 
 def is_stable(cfg: LoopConfig) -> bool:
@@ -323,7 +325,14 @@ class LoopRecord:
 
 def loop_recursion_poles(cfg: LoopConfig, dt: float) -> np.ndarray:
     """Poles of the discretized loop recursion I_k = n_k + g sum w_j I_{k-j};
-    all must lie inside the unit circle for the simulation to be stable."""
+    the recursion is stable iff all lie inside the unit circle.
+
+    This is the exact reference for `assert_discrete_stable`, which
+    simulations use instead: the companion-matrix eigenvalues cost O(m^3)
+    in the tap count m (seconds at a thousand taps), the crossing scan
+    about a millisecond at any m, and the two verdicts agree on the
+    filters, steps and gains the tests sweep.
+    """
     w = cfg.filter.discretize(dt)
     return np.roots(np.concatenate(([1.0], -cfg.g * w)))
 
@@ -355,16 +364,9 @@ def discrete_crossing_excess(weights: np.ndarray, g: float, n_grid: int = 1 << 1
     """
     w = np.asarray(weights, dtype=float)
     resp = g * np.fft.rfft(np.concatenate(([0.0], w)), n=n_grid)
-    re, im = resp.real, resp.imag
     # Points exactly on the real axis, among them theta = 0 and the Nyquist
     # point theta = pi, are crossings that no sign flip of im detects.
-    worst = float(np.max(re[im == 0.0]))
-    flips = np.nonzero(im[:-1] * im[1:] < 0.0)[0]
-    if flips.size:
-        frac = im[flips] / (im[flips] - im[flips + 1])
-        cross = re[flips] + frac * (re[flips + 1] - re[flips])
-        worst = max(worst, float(np.max(cross)))
-    return worst
+    return _real_axis_max(resp, resp.imag == 0.0)
 
 
 def assert_discrete_stable(filt: LoopFilter, g: float, dt: float) -> None:
@@ -398,12 +400,7 @@ def simulate_classical_loop(
     n = int(round(duration / dt))
     if n < 10:
         raise ParameterError("duration too short for the requested dt")
-    poles = loop_recursion_poles(cfg, dt)
-    if np.max(np.abs(poles)) >= 1.0 - 1e-12:
-        raise InstabilityError(
-            f"discretized loop recursion is unstable (max pole modulus "
-            f"{np.max(np.abs(poles)):.6f})"
-        )
+    assert_discrete_stable(cfg.filter, cfg.g, dt)
     from scipy import signal
 
     w = cfg.filter.discretize(dt)

@@ -134,6 +134,8 @@ def numerical_power_spectrum(
     grid = np.asarray(grid, dtype=float)
     g_min = min(rs.gamma_x, rs.gamma_y)
     g_max = max(rs.gamma_x, rs.gamma_y)
+    if not dtau > 0.0:
+        raise ParameterError(f"dtau must be positive, got {dtau}")
     if tau_max * g_min < 20.0:
         raise ParameterError(
             f"tau_max = {tau_max:.3g} under-resolves the slowest decay; "

@@ -43,14 +43,14 @@ blocks of NOISE_BLOCK steps, which leaves the stream unchanged), all
 trajectories are stepped in lockstep by elementwise vectorized arithmetic,
 and means and variances are reduced by records.sum(axis=0), which
 accumulates the trajectory rows sequentially in trajectory-index order.
-With uniform or geometric filter weights a member's operation order does
-not depend on the ensemble size, so member i equals the single run seeded
-seed XOR i bitwise; general weights take the feedback drive from a BLAS
-matrix-vector product, whose summation order may change with the ensemble
-size, so there the two agree to rounding.
+With geometric filter weights (flat ones have ratio 1) a member's
+operation order does not depend on the ensemble size, so member i equals
+the single run seeded seed XOR i bitwise; general weights take the
+feedback drive from a BLAS matrix-vector product, whose summation order
+may change with the ensemble size, so there the two agree to rounding.
 
-Wide ensembles run on every CPU the process may use.  With uniform or
-geometric weights the n trajectories are cut into
+Wide ensembles run on every CPU the process may use.  With geometric
+weights (flat ones have ratio 1) the n trajectories are cut into
 min(len(os.sched_getaffinity(0)), n // MIN_SLICE) contiguous slices of
 near-equal width; when that is 2 or more, slice 0 runs in this process and
 every other slice in a forked worker.  Each slice steps its trajectories
@@ -254,14 +254,12 @@ def _record_mask(n_steps: int, stride: int) -> np.ndarray:
 
 
 def _filter_mode(weights: np.ndarray) -> tuple[str, float]:
-    """Phi evaluation strategy and geometric ratio: O(1) running sum for
-    flat weights, O(1) recursion for geometric weights, O(m) dot otherwise."""
-    if np.allclose(weights, weights[0], rtol=1e-12, atol=0.0):
-        return "uniform", 1.0
-    if weights.size >= 2 and np.allclose(
-        weights[1:] / weights[:-1], weights[1] / weights[0], rtol=1e-9, atol=0.0
-    ):
-        return "geometric", float(weights[1] / weights[0])
+    """Phi evaluation strategy and geometric ratio: O(1) recursion for
+    geometric weights (flat ones have ratio exactly 1), O(m) product
+    otherwise.  `TrajectoryConfig.validate` ensures at least 10 weights."""
+    ratio = weights[1] / weights[0]
+    if np.allclose(weights[1:] / weights[:-1], ratio, rtol=1e-9, atol=0.0):
+        return "geometric", float(ratio)
     return "general", 0.0
 
 
@@ -322,7 +320,6 @@ def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int):
     m = weights.size
     m_warm = int(round(cfg.loop.filter.tau / dt))
     general = plan.filter_mode == "general"
-    geometric = plan.filter_mode == "geometric"
     feedback = g != 0.0
     guard = cfg.phi_guard
     cap = min(PURITY_ABORT_FACTOR * dt, PURITY_ABORT_CEILING)
@@ -347,7 +344,7 @@ def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int):
     x, y, z = state
     xy, yz, xz = state[:2], state[1:], state[::2]
     ring = np.zeros((m, n))
-    hist_sum = np.zeros(n)  # running flat sum or geometric state
+    hist_sum = np.zeros(n)  # geometric recursion state
     phi = np.zeros(n)
     meas, one_z, tmp, aux, lagged = (np.empty(n) for _ in range(5))
     terms = np.empty((3, n))
@@ -404,8 +401,7 @@ def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int):
             add(tmp, aux, slot)
             if not general:
                 sub(slot, lagged, lagged)
-                if geometric:
-                    hist_sum *= ratio
+                hist_sum *= ratio
                 hist_sum += lagged
             if cur_block is not None:
                 cur_block[j] = slot

@@ -182,6 +182,33 @@ def test_spectrum_csv_matches_library(tmp_path, model, method):
     assert np.allclose(table[:, 1], spec.values, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "args, csv, message",
+    [
+        (["loop-spectrum", "--eta", "0.8", "--eps", "0.95", "--g", "-19", "--tau", "1",
+          "--omega-max", "3", "--points", "-1"],
+         "loop_spectrum.csv", "--points must be at least 1, got -1"),
+        (["spectrum", "--model", "free", "--eta", "0.8", "--L", "0.05", "--points", "-5"],
+         "spectrum.csv", "--points must be at least 1, got -5"),
+        (["spectrum", "--model", "free", "--eta", "0.8", "--L", "0.05", "--points", "0"],
+         "spectrum.csv", "--points must be at least 1, got 0"),
+        (["spectrum", "--model", "free", "--eta", "0.8", "--L", "0.05",
+          "--method", "numerical", "--dtau", "0"],
+         "spectrum.csv", "dtau must be positive, got 0.0"),
+        (["spectrum", "--model", "free", "--eta", "0.8", "--L", "0.05",
+          "--method", "numerical", "--dtau=-1e-3"],
+         "spectrum.csv", "dtau must be positive, got -0.001"),
+    ],
+    ids=["loop-spectrum-points", "spectrum-points", "spectrum-zero-points",
+         "zero-dtau", "negative-dtau"],
+)
+def test_bad_grid_arguments_are_domain_errors(tmp_path, args, csv, message):
+    r = run_cli(*args, "--outdir", str(tmp_path), cwd=tmp_path)
+    assert r.returncode == 4
+    assert f"parameter error: {message}" in r.stderr
+    assert not (tmp_path / csv).exists()
+
+
 def test_trajectories_rejects_infinite_phi_guard(tmp_path):
     (tmp_path / "traj.cfg").write_text(TRAJ_CONFIG.replace("phi_guard = 2e4", "phi_guard = inf"))
     out = tmp_path / "out"

@@ -270,6 +270,36 @@ def test_discrete_poles_inside_unit_circle_when_stable():
     assert np.max(np.abs(poles)) < 1.0
 
 
+def test_discrete_crossing_agrees_with_recursion_poles():
+    # the crossing scan simulations use against the exact recursion poles,
+    # over flat, truncated-exponential, single-pole and sampled filters
+    s = np.linspace(0.0, 1e-3, 7)
+    filters = [
+        LoopFilter.rectangular(1e-2),
+        LoopFilter.exponential(1e-2),
+        LoopFilter.single_pole(1e-3),
+        LoopFilter.from_samples(1e-3, np.exp(-s / 2.5e-4)),
+    ]
+    verdicts = []
+    for filt in filters:
+        for steps in (10, 20, 40):
+            dt = filt.tau / steps
+            if filt.discretize(dt).size > 250:
+                continue
+            for g in np.linspace(-60.0, 0.95, 25):
+                cfg = LoopConfig(g=g, eps=0.9, eta=0.8, filter=filt)
+                unstable = np.max(np.abs(loop_recursion_poles(cfg, dt))) >= 1.0
+                try:
+                    assert_discrete_stable(filt, g, dt)
+                    rejected = False
+                except InstabilityError:
+                    rejected = True
+                assert rejected == unstable, (filt.kind, steps, g)
+                verdicts.append(unstable)
+    assert len(verdicts) == 250
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 # -- Monte Carlo loop --------------------------------------------------------
 
 
@@ -333,6 +363,15 @@ def test_simulate_rejects_unstable_and_coarse_dt():
         simulate_classical_loop(bad, dt=0.01, duration=100.0, seed=1)
     with pytest.raises(ParameterError):
         simulate_classical_loop(fig2_loop(), dt=0.5, duration=100.0, seed=1)
+
+
+def test_simulate_rejects_loop_unstable_only_once_discretized():
+    # continuous rectangular loops are stable at any g < 1, but 10 equal
+    # taps leak 19/10 at the first phase crossing
+    cfg = LoopConfig(g=-19.0, eps=0.95, eta=0.8, filter=LoopFilter.rectangular(1e-3))
+    assert is_stable(cfg)
+    with pytest.raises(InstabilityError, match="discretized loop"):
+        simulate_classical_loop(cfg, dt=1e-4, duration=1.0, seed=1)
 
 
 def test_loop_record_reproducible():
