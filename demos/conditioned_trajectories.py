@@ -54,7 +54,7 @@ def main():
         initial_state=AtomState(0.7, 0.0, 0.1),
     )
     res0 = run_ensemble(cfg0)
-    rs0 = build_generator(0.0, ETA, EPS).rate_set()
+    rs0 = build_generator(0.0, ETA, EPS).rates
     exact = propagate(rs0, cfg0.initial_state, res0.times)
     gap = np.max(np.abs(res0.mean - exact) / np.maximum(res0.stderr, 1e-4))
     print(f"open-loop ensemble versus exact master equation: max |gap| = {gap:.2f} sigma")

@@ -203,7 +203,7 @@ def cmd_spectrum(args) -> int:
         if args.level is None:
             raise ParameterError("the free model needs --L")
         gen = build_squeezed_generator(args.eta, args.level)
-    rs = gen.rate_set()
+    rs = gen.rates
     grid = _omega_grid(-args.omega_max, args.omega_max, args.points)
     if args.method == "analytic":
         spec = analytic_power_spectrum(rs, args.eta, grid)

@@ -124,12 +124,6 @@ class AffineGenerator:
     drift: np.ndarray = field(repr=False)
     constant: np.ndarray = field(repr=False)
 
-    def rate_set(self) -> RateSet:
-        return self.rates
-
-    def steady_state(self) -> AtomState:
-        return self.rates.steady_state()
-
     def apply(self, s: AtomState) -> np.ndarray:
         """Bloch tangent drift @ r + constant."""
         return self.drift @ s.bloch + self.constant

@@ -129,8 +129,8 @@ def numerical_power_spectrum(
 
     `gen` is the `AffineGenerator` of either model.
     """
-    rs = gen.rate_set()
-    z_ss = gen.steady_state().z
+    rs = gen.rates
+    z_ss = rs.steady_state().z
     grid = np.asarray(grid, dtype=float)
     g_min = min(rs.gamma_x, rs.gamma_y)
     g_max = max(rs.gamma_x, rs.gamma_y)

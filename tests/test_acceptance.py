@@ -227,8 +227,8 @@ def test_criterion_7_positivity_and_trace_suite():
         r = rng.standard_normal((1000, 3))
         r *= (rng.uniform(0, 1, 1000) / np.linalg.norm(r, axis=1))[:, None]
         ts = rng.uniform(0.0, 5.0, 1000)
-        rs = gen.rate_set()
-        zss = gen.steady_state().z
+        rs = gen.rates
+        zss = rs.steady_state().z
         out = np.empty_like(r)
         out[:, 0] = r[:, 0] * np.exp(-rs.gamma_x * ts)
         out[:, 1] = r[:, 1] * np.exp(-rs.gamma_y * ts)
@@ -238,7 +238,7 @@ def test_criterion_7_positivity_and_trace_suite():
 
     # trace and Hermiticity on a sample of propagated states
     s = AtomState.from_bloch(
-        propagate(build_generator(LAM, ETA, EPS).rate_set(), AtomState(0.6, 0.3, 0.2), 0.7)
+        propagate(build_generator(LAM, ETA, EPS).rates, AtomState(0.6, 0.3, 0.2), 0.7)
     )
     rho = bloch_to_matrix(s)
     trace_ok = abs(np.trace(rho) - 1.0) < 1e-14 and np.max(np.abs(rho - rho.conj().T)) < 1e-14

@@ -175,7 +175,7 @@ def test_spectrum_csv_matches_library(tmp_path, model, method):
     table = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", comments="#", skiprows=3)
     grid = np.linspace(-3.0, 3.0, 21)
     if method == "analytic":
-        spec = analytic_power_spectrum(gen.rate_set(), 0.8, grid)
+        spec = analytic_power_spectrum(gen.rates, 0.8, grid)
     else:
         spec = numerical_power_spectrum(gen, 0.8, grid, tau_max, dtau)
     assert np.allclose(table[:, 0], grid, rtol=1e-12, atol=0.0)

@@ -107,19 +107,19 @@ def test_steady_state_values():
 def test_evolve_examples():
     gen = build_generator(0.0, 0.8, 0.95)
     s0 = AtomState(1.0, 0.0, 0.0)
-    assert AtomState.from_bloch(propagate(gen.rate_set(), s0, 0.0)) == s0
-    s2 = AtomState.from_bloch(propagate(gen.rate_set(), s0, 2.0))
+    assert AtomState.from_bloch(propagate(gen.rates, s0, 0.0)) == s0
+    s2 = AtomState.from_bloch(propagate(gen.rates, s0, 2.0))
     assert abs(s2.x - np.exp(-1.0)) < 1e-14
     assert abs(s2.z - (-1.0 + np.exp(-2.0))) < 1e-14
     with pytest.raises(ParameterError):
-        propagate(gen.rate_set(), s0, -1.0)
+        propagate(gen.rates, s0, -1.0)
 
 
 def test_evolve_semigroup_property():
     rng = np.random.default_rng(31)
     for _ in range(100):
         lam, eta, eps = random_params(rng)
-        rs = build_generator(lam, eta, eps).rate_set()
+        rs = build_generator(lam, eta, eps).rates
         r = rng.standard_normal(3)
         r *= rng.uniform(0, 1) / np.linalg.norm(r)
         s0 = AtomState(*r)
@@ -136,7 +136,7 @@ def test_evolve_preserves_purity_bound():
     for _ in range(50):
         lam, eta, eps = random_params(rng)
         gen = build_generator(lam, eta, eps)
-        path = propagate(gen.rate_set(), AtomState(1.0, 0.0, 0.0), ts)
+        path = propagate(gen.rates, AtomState(1.0, 0.0, 0.0), ts)
         assert np.all(np.sum(path**2, axis=1) <= 1.0 + 1e-9)
 
 

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from unittest import mock
@@ -23,6 +24,7 @@ from inloop.trajectories import (
     _GUARD,
     _PURITY,
     MIN_SLICE,
+    EnsembleResult,
     TrajectoryConfig,
     _plan,
     _raise_first_failure,
@@ -476,7 +478,7 @@ def test_open_loop_ensemble_matches_master_equation():
     cfg = make_config(duration=1.0, n_traj=4000, seed=101, initial_state=AtomState(0.8, 0.0, 0.2))
     res = run_ensemble(cfg)
     gen = build_generator(0.0, 0.8, 0.95)
-    exact = propagate(gen.rate_set(), cfg.initial_state, res.times)
+    exact = propagate(gen.rates, cfg.initial_state, res.times)
     for t_probe in (0.3, 0.6, 1.0):
         i = int(np.argmin(np.abs(res.times - t_probe)))
         for c in range(3):
@@ -497,7 +499,7 @@ def test_martingale_property_various_efficiencies():
         )
         res = run_ensemble(cfg)
         gen = build_generator(0.0, 0.8, 0.95)  # rates are (eta, eps)-independent at g=0
-        exact = propagate(gen.rate_set(), cfg.initial_state, res.times)
+        exact = propagate(gen.rates, cfg.initial_state, res.times)
         i = int(np.argmin(np.abs(res.times - 1.0)))
         for c in range(3):
             se = max(res.stderr[i, c], 1e-4)
@@ -543,6 +545,66 @@ def test_fit_decay_rate_on_clean_exponential():
     assert fit.stderr > 0.0
     with pytest.raises(ParameterError):
         fit_decay_rate(res, "x", window=(2.901, 2.915))
+
+
+def _synthetic_result(x_records: np.ndarray, times: np.ndarray) -> EnsembleResult:
+    """Ensemble result whose x records are given and whose y, z are zero."""
+    records = np.zeros(x_records.shape + (3,))
+    records[..., 0] = x_records
+    return EnsembleResult(
+        times=times, mean=records.mean(axis=0), stderr=np.zeros(records.shape[1:]),
+        config=make_config(n_traj=x_records.shape[0]), n_steps=times.size - 1,
+        records=records,
+    )
+
+
+def _ar1_decay_records(rng, n: int, times: np.ndarray, rho: float = 0.95) -> np.ndarray:
+    """exp(-t/2) (1 + noise/2) with stationary unit-variance AR(1) noise."""
+    noise = np.empty((n, times.size))
+    noise[:, 0] = rng.standard_normal(n)
+    kicks = np.sqrt(1.0 - rho * rho) * rng.standard_normal((n, times.size - 1))
+    for k in range(1, times.size):
+        noise[:, k] = rho * noise[:, k - 1] + kicks[:, k - 1]
+    return np.exp(-0.5 * times) * (1.0 + 0.5 * noise)
+
+
+def test_fit_stderr_matches_spread_of_independent_fits():
+    # time-correlated noise: an error from per-time marginals alone would
+    # miss the covariance across the window that the delta method keeps
+    rng = np.random.default_rng(2024)
+    times = np.linspace(0.0, 3.0, 301)
+    fits = [fit_decay_rate(_synthetic_result(_ar1_decay_records(rng, 400, times), times), "x")
+            for _ in range(200)]
+    spread = np.std([f.rate for f in fits], ddof=1)
+    assert abs(np.median([f.stderr for f in fits]) / spread - 1.0) < 0.15
+
+
+def test_fit_rate_is_the_least_squares_slope():
+    rng = np.random.default_rng(7)
+    times = np.linspace(0.0, 3.0, 301)
+    results = [_synthetic_result(_ar1_decay_records(rng, 50, times), times) for _ in range(10)]
+    results.append(run_ensemble(make_config(duration=3.0, n_traj=200, seed=5)))
+    for res in results:
+        for window in ((0.5, 3.0), (0.2, 1.7)):
+            sel = (res.times >= window[0]) & (res.times <= window[1])
+            slope = np.polyfit(res.times[sel], np.log(res.mean[sel, 0]), 1)[0]
+            assert abs(fit_decay_rate(res, "x", window).rate + slope) < 1e-12
+
+
+def test_fit_without_records_names_keep_records():
+    res = run_ensemble(make_config(duration=3.0, n_traj=50, seed=3, keep_records=False))
+    with pytest.raises(ParameterError, match="keep_records"):
+        fit_decay_rate(res, "x")
+
+
+def test_fit_of_one_trajectory_has_nan_stderr_without_warning():
+    times = np.linspace(0.0, 3.0, 301)
+    res = _synthetic_result(np.exp(-0.5 * times)[None, :], times)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_decay_rate(res, "x")
+    assert abs(fit.rate - 0.5) < 1e-12
+    assert np.isnan(fit.stderr)
 
 
 def test_tau_convergence_to_markovian_rate():
