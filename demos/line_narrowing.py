@@ -17,13 +17,11 @@ import numpy as np
 
 from inloop import (
     free_rates,
-    free_steady_state,
     lambda_from_gain,
     photon_parameters,
     rates,
     rates_from_squeezing,
     squeezing_from_lambda,
-    steady_state,
 )
 
 ETA, EPS = 0.8, 0.95
@@ -36,7 +34,7 @@ def main():
         lam = lambda_from_gain(g, ETA)
         s_in = squeezing_from_lambda(lam, ETA, EPS)
         rs = rates(lam, ETA, EPS)
-        zss = steady_state(lam, ETA, EPS).z
+        zss = rs.steady_state().z
         print(f"{g:7.1f} {lam:8.3f} {s_in:7.3f}  {rs.gamma_x:8.4f} {rs.gamma_y:8.4f}"
               f" {rs.C:6.3f} {zss:8.4f}")
 
@@ -45,7 +43,7 @@ def main():
     for level in (1.0, 0.4, 0.126, 0.05):
         rs = free_rates(ETA, level)
         n, m = photon_parameters(level)
-        zss = free_steady_state(ETA, level).z
+        zss = rs.steady_state().z
         print(f"{level:7.3f} {n:9.4f} {m:9.4f}  {rs.gamma_x:8.4f} {rs.gamma_y:8.4f} {zss:8.4f}")
 
     print("\nthe narrowing identity, checked on a random sample:")

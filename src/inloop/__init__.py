@@ -3,8 +3,8 @@
 The package covers the full chain from the classical electro-optic feedback
 loop to the atomic response:
 
-- `inloop.bloch`: exact single-qubit algebra (states, operators, and the
-  damping / conditioning / rotation superoperators in Bloch form);
+- `inloop.bloch`: exact single-qubit algebra (states, operators, the
+  damping and feedback-coupling superoperators in Bloch form, Choi checks);
 - `inloop.loop`: loop filters, transfer functions, stability, in-loop and
   photocurrent spectra, optimal gain, and a Monte Carlo loop simulator;
 - `inloop.feedback`: the Markovian feedback master equation and the model
@@ -32,7 +32,6 @@ from .feedback import (
     propagate,
     rates,
     rates_from_squeezing,
-    steady_state,
 )
 from .loop import (
     LoopConfig,
@@ -58,17 +57,13 @@ from .spectra import (
 from .squeezed_bath import (
     build_squeezed_generator,
     free_rates,
-    free_steady_state,
     photon_parameters,
 )
 from .trajectories import (
     EnsembleResult,
     TrajectoryConfig,
-    feedback_drive,
     fit_decay_rate,
-    mean_current,
     run_ensemble,
-    step_conditioned,
 )
 
 __version__ = "0.1.0"
@@ -92,16 +87,13 @@ __all__ = [
     "build_squeezed_generator",
     "comparison_report",
     "correlation",
-    "feedback_drive",
     "fit_decay_rate",
     "fit_lorentzian_pair",
     "free_rates",
-    "free_steady_state",
     "gain_from_lambda",
     "homodyne_spectrum",
     "in_loop_spectrum",
     "lambda_from_gain",
-    "mean_current",
     "numerical_power_spectrum",
     "optimal_gain",
     "photon_parameters",
@@ -111,8 +103,6 @@ __all__ = [
     "run_ensemble",
     "simulate_classical_loop",
     "squeezing_from_lambda",
-    "steady_state",
-    "step_conditioned",
     "total_flux",
     "welch_spectrum",
 ]

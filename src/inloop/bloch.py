@@ -24,18 +24,10 @@ damping         D[A]rho = A rho A+ - {A+A, rho}/2
     tangent = -2|a|^2 r + (conj(a) . r) a + (a . r) conj(a)
               + i a0 (r x conj(a)) - i conj(a0) (r x a) - 2i (conj(a) x a)
 
-conditioning    H[A]rho = A rho + rho A+ - Tr[A rho + rho A+] rho
-    tangent = 2 Re(a) - 2 Im(a) x r - (2 Re(a) . r) r
-    (the scalar part a0 cancels; Tr[A rho + rho A+] = 2 Re(a0) + 2 Re(a) . r)
-
-unitary flow    -i[H, rho] for Hermitian H = h0 I + h . sigma_vec
-    tangent = 2 h x r
-
 coupling        -i[B, A rho + rho A+] for Hermitian B = h . sigma_vec
     tangent = 2 h x V,  V = 2 Re(a) + 2 Re(a0) r - 2 Im(a) x r
 
-All tangents are linear (affine) in r except the conditioning term, whose
-expectation subtraction makes it quadratic in the state.
+Both tangents are affine in r.
 """
 
 from __future__ import annotations
@@ -154,22 +146,6 @@ class AtomOperator:
         return cls(1.0, 0.0, 0.0, 0.0)
 
 
-def bloch_to_matrix(s: AtomState) -> np.ndarray:
-    """Density matrix (I + x sigma_x + y sigma_y + z sigma_z)/2."""
-    return 0.5 * (IDENTITY + s.x * PAULI_X + s.y * PAULI_Y + s.z * PAULI_Z)
-
-
-def state_from_matrix(rho, tol: float = EXACT_PURITY_TOL) -> AtomState:
-    """Bloch vector of a (Hermitian, unit-trace) 2x2 density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if abs(np.trace(rho) - 1.0) > 1e-10:
-        raise ParameterError("density matrix must have unit trace")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ParameterError("density matrix must be Hermitian")
-    r = [float(np.real(np.trace(rho @ p))) for p in PAULIS]
-    return AtomState(*r).validate(tol)
-
-
 def pauli_components(m) -> tuple[complex, np.ndarray]:
     """Decompose a 2x2 matrix as (c0, c) with m = (c0 I + c . sigma_vec)/2,
     i.e. c0 = Tr[m] and c_k = Tr[m sigma_k]."""
@@ -195,36 +171,6 @@ def dissipator(a: AtomOperator, s: AtomState) -> np.ndarray:
         - 2j * np.cross(ac, av)
     )
     return np.real(t)
-
-
-def measurement_expectation(a: AtomOperator, s: AtomState) -> float:
-    """Tr[A rho + rho A+], the mean of the homodyne record for jump
-    operator A (equals <sigma_x> for A = sigma)."""
-    re_a = np.real(a.vector)
-    return float(2.0 * np.real(a.a0) + 2.0 * (re_a @ s.bloch))
-
-
-def measurement_superop(a: AtomOperator, s: AtomState) -> np.ndarray:
-    """Bloch tangent of the homodyne conditioning superoperator
-    H[A]rho = A rho + rho A+ - Tr[A rho + rho A+] rho.
-
-    Trace free but nonlinear in the state through the expectation
-    subtraction.
-    """
-    re_a = np.real(a.vector)
-    im_a = np.imag(a.vector)
-    r = s.bloch
-    return 2.0 * re_a - 2.0 * np.cross(im_a, r) - (2.0 * (re_a @ r)) * r
-
-
-def hamiltonian_flow(h: AtomOperator, s: AtomState) -> np.ndarray:
-    """Bloch tangent of -i[H, rho] for Hermitian H: a rotation of the Bloch
-    vector about the Pauli vector of H (length preserving, tangent
-    orthogonal to the state for traceless H)."""
-    if not h.is_hermitian:
-        raise ParameterError("Hamiltonian must be Hermitian")
-    hv = np.real(h.vector)
-    return 2.0 * np.cross(hv, s.bloch)
 
 
 def coupling_commutator(a: AtomOperator, b: AtomOperator, s: AtomState) -> np.ndarray:

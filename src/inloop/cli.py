@@ -121,15 +121,19 @@ def _read_run_config(args, keys, command: str) -> tuple[dict, LoopConfig]:
     return {k: v for k, v in run.items() if v is not None}, loop
 
 
+def _feedback_lambda(args) -> float:
+    """Feedback strength from --eps and exactly one of --lambda or --g."""
+    if (args.lam is None) == (args.g is None):
+        raise ParameterError("give exactly one of --lambda or --g for the feedback model")
+    if args.eps is None:
+        raise ParameterError("the feedback model needs --eps")
+    return args.lam if args.lam is not None else lambda_from_gain(args.g, args.eta)
+
+
 def cmd_rates(args) -> int:
     report: dict = {}
-    feedback_args = [args.lam, args.g]
-    if any(v is not None for v in feedback_args):
-        if sum(v is not None for v in feedback_args) != 1:
-            raise ParameterError("give exactly one of --lambda or --g for the feedback model")
-        if args.eps is None:
-            raise ParameterError("the feedback model needs --eps")
-        lam = args.lam if args.lam is not None else lambda_from_gain(args.g, args.eta)
+    if args.lam is not None or args.g is not None:
+        lam = _feedback_lambda(args)
         g = args.g if args.g is not None else gain_from_lambda(lam, args.eta)
         rs = rates(lam, args.eta, args.eps)
         report["feedback"] = {
@@ -192,13 +196,15 @@ def cmd_loop_sim(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    foreign = {
+        "feedback": (("--L", args.level),),
+        "free": (("--eps", args.eps), ("--lambda", args.lam), ("--g", args.g)),
+    }[args.model]
+    stray = [flag for flag, value in foreign if value is not None]
+    if stray:
+        raise ParameterError(f"--model {args.model} does not take {', '.join(stray)}")
     if args.model == "feedback":
-        if args.eps is None:
-            raise ParameterError("the feedback model needs --eps")
-        if (args.lam is None) == (args.g is None):
-            raise ParameterError("give exactly one of --lambda or --g")
-        lam = args.lam if args.lam is not None else lambda_from_gain(args.g, args.eta)
-        gen = build_generator(lam, args.eta, args.eps)
+        gen = build_generator(_feedback_lambda(args), args.eta, args.eps)
     else:
         if args.level is None:
             raise ParameterError("the free model needs --L")

@@ -104,12 +104,6 @@ def rates_from_squeezing(s_in: float, eta: float) -> float:
     return 0.5 * ((1.0 - eta) + eta * s_in)
 
 
-def steady_state(lam: float, eta: float, eps: float) -> AtomState:
-    """Stationary state (0, 0, -C/gamma_z); equivalently
-    z_ss = -1 + lam^2 / [2 eta eps (1 + lam) + lam^2]."""
-    return rates(lam, eta, eps).steady_state()
-
-
 @dataclass(frozen=True, eq=False)
 class AffineGenerator:
     """Affine Bloch-space generator r_dot = drift @ r + constant of a master
@@ -123,10 +117,6 @@ class AffineGenerator:
     rates: RateSet
     drift: np.ndarray = field(repr=False)
     constant: np.ndarray = field(repr=False)
-
-    def apply(self, s: AtomState) -> np.ndarray:
-        """Bloch tangent drift @ r + constant."""
-        return self.drift @ s.bloch + self.constant
 
 
 def build_generator(lam: float, eta: float, eps: float) -> AffineGenerator:

@@ -57,11 +57,6 @@ def photon_parameters(level: float) -> tuple[float, float]:
     return n, m
 
 
-def free_steady_state(eta: float, level: float) -> AtomState:
-    """Stationary state (0, 0, -1/(gamma_x + gamma_y))."""
-    return free_rates(eta, level).steady_state()
-
-
 def build_squeezed_generator(eta: float, level: float) -> AffineGenerator:
     """Assemble the squeezed-bath master equation as an affine Bloch
     generator.  The single jump operator of the squeezed channel is

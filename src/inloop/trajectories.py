@@ -83,20 +83,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (
-    AtomOperator,
-    AtomState,
-    dissipator,
-    measurement_superop,
-)
+from .bloch import AtomState
 from .errors import InstabilityError, ParameterError, StepSizeError
-from .loop import (
-    LoopConfig,
-    LoopFilter,
-    assert_discrete_stable,
-    assert_stable,
-    welch_spectrum,
-)
+from .loop import LoopConfig, assert_discrete_stable, assert_stable, welch_spectrum
 
 # Per-step purity overshoot budget, in units of dt.  The conditioning term
 # moves a near-pure state off the sphere by ~ eta eps dW^2 = O(dt) with
@@ -181,73 +170,6 @@ class EnsembleResult:
     records: np.ndarray | None = None
     currents: np.ndarray | None = None
     drives: np.ndarray | None = None
-
-    def component(self, name: str) -> np.ndarray:
-        return self.mean[:, "xyz".index(name)]
-
-
-def mean_current(s: AtomState, phi: float, eta: float, eps: float) -> float:
-    """Expected homodyne current sqrt(eta eps) <sigma_x> + sqrt(eps) Phi."""
-    return np.sqrt(eta * eps) * s.x + np.sqrt(eps) * phi
-
-
-def feedback_drive(history, filt: LoopFilter, g: float, eps: float, dt: float) -> float:
-    """Feedback drive Phi = (g/sqrt(eps)) sum_j w_j I_{k-j} from the most
-    recent current samples.
-
-    `history` holds current samples in time order (oldest first, newest =
-    the strictly previous step).  It must cover at least the nominal filter
-    delay tau; samples older than the available history count as zero
-    (filters with truncated infinite tails draw on up to their full
-    buffered support).  Callers hold Phi at 0 during the initial warm-up.
-    """
-    weights = filt.discretize(dt)
-    hist = np.asarray(history, dtype=float)
-    needed = int(round(filt.tau / dt))
-    if hist.size < needed:
-        raise ParameterError(
-            f"insufficient history: filter needs {needed} past samples "
-            f"(delay {filt.tau:.3g}), got {hist.size}"
-        )
-    take = min(weights.size, hist.size)
-    window = hist[-take:]
-    return float(g / np.sqrt(eps) * (weights[:take] @ window[::-1]))
-
-
-def step_conditioned(
-    s: AtomState,
-    phi: float,
-    dw: float,
-    dt: float,
-    eta: float,
-    eps: float,
-    max_excess: float | None = None,
-) -> AtomState:
-    """Single step of the conditioned master equation: Euler-Maruyama for
-    damping plus homodyne conditioning, composed with the exact feedback
-    rotation exp(-i H_fb dt) for H_fb = sqrt(eta) Phi sigma_y / 2 (see the
-    module docstring for why the rotation is not linearized), then the
-    post-step projection."""
-    sigma = AtomOperator.lowering()
-    r = (
-        s.bloch
-        + dt * dissipator(sigma, s)
-        + np.sqrt(eta * eps) * dw * measurement_superop(sigma, s)
-    )
-    theta = np.sqrt(eta) * phi * dt
-    if theta != 0.0:
-        c, sn = np.cos(theta), np.sin(theta)
-        r = np.array([r[0] * c + r[2] * sn, r[1], -r[0] * sn + r[2] * c])
-    cap = min(PURITY_ABORT_FACTOR * dt, PURITY_ABORT_CEILING) if max_excess is None else max_excess
-    n2 = float(r @ r)
-    if n2 > 1.0 + cap:
-        raise StepSizeError(
-            f"step size too large: purity overshoot {n2 - 1.0:.3e} exceeds "
-            f"budget {cap:.3e}"
-        )
-    if n2 > 1.0:
-        r /= np.sqrt(n2)
-    return AtomState.from_bloch(r)
 
 
 def _record_mask(n_steps: int, stride: int) -> np.ndarray:

@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from inloop.bloch import AtomState, bloch_to_matrix, smallest_choi_eigenvalue
-from inloop.feedback import build_generator, propagate, rates, rates_from_squeezing, steady_state
+from inloop.bloch import AtomState, smallest_choi_eigenvalue
+from inloop.feedback import build_generator, propagate, rates, rates_from_squeezing
 from inloop.loop import (
     LoopConfig,
     LoopFilter,
@@ -30,6 +30,7 @@ from inloop.spectra import (
 )
 from inloop.squeezed_bath import build_squeezed_generator, free_rates
 from inloop.trajectories import TrajectoryConfig, fit_decay_rate, run_ensemble
+from oracles import bloch_to_matrix
 
 ETA, EPS = 0.8, 0.95
 LAM = -ETA * EPS  # optimal feedback, g = -19
@@ -139,8 +140,8 @@ def test_criterion_4_liouvillian_cross_check():
         z_ratio = -rs.C / rs.gamma_z
         z_closed = -1.0 + lam * lam / (2.0 * eta * eps * (1.0 + lam) + lam * lam)
         worst_ss = max(worst_ss, abs(z_ratio - z_closed))
-        worst_ss = max(worst_ss, abs(steady_state(lam, eta, eps).z - z_ratio))
-    fig2_z = steady_state(LAM, ETA, EPS).z
+        worst_ss = max(worst_ss, abs(rates(lam, eta, eps).steady_state().z - z_ratio))
+    fig2_z = rates(LAM, ETA, EPS).steady_state().z
     fig2_ok = abs(fig2_z + 0.3870967741935484) < 1e-12
     report(
         4,

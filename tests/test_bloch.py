@@ -14,18 +14,20 @@ from inloop.bloch import (
     affine_generator,
     affine_propagator,
     apply_affine_channel,
-    bloch_to_matrix,
     choi_matrix,
     coupling_commutator,
     dissipator,
+    pauli_components,
+    smallest_choi_eigenvalue,
+)
+from inloop.errors import ParameterError
+from oracles import (
+    bloch_to_matrix,
     hamiltonian_flow,
     measurement_expectation,
     measurement_superop,
-    pauli_components,
-    smallest_choi_eigenvalue,
     state_from_matrix,
 )
-from inloop.errors import ParameterError
 
 
 def random_state(rng, pure=False):

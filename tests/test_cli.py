@@ -198,9 +198,18 @@ def test_spectrum_csv_matches_library(tmp_path, model, method):
         (["spectrum", "--model", "free", "--eta", "0.8", "--L", "0.05",
           "--method", "numerical", "--dtau=-1e-3"],
          "spectrum.csv", "dtau must be positive, got -0.001"),
+        (["spectrum", "--model", "feedback", "--eta", "0.8", "--eps", "0.95", "--g", "-19",
+          "--L", "0.05"],
+         "spectrum.csv", "--model feedback does not take --L"),
+        (["spectrum", "--model", "free", "--eta", "0.8", "--L", "0.05", "--eps", "0.95",
+          "--g", "-19"],
+         "spectrum.csv", "--model free does not take --eps, --g"),
+        (["spectrum", "--model", "free", "--eta", "0.8", "--L", "0.05", "--lambda", "-0.76"],
+         "spectrum.csv", "--model free does not take --lambda"),
     ],
     ids=["loop-spectrum-points", "spectrum-points", "spectrum-zero-points",
-         "zero-dtau", "negative-dtau"],
+         "zero-dtau", "negative-dtau", "feedback-with-L", "free-with-eps-g",
+         "free-with-lambda"],
 )
 def test_bad_grid_arguments_are_domain_errors(tmp_path, args, csv, message):
     r = run_cli(*args, "--outdir", str(tmp_path), cwd=tmp_path)

@@ -11,7 +11,6 @@ from inloop.feedback import (
     propagate,
     rates,
     rates_from_squeezing,
-    steady_state,
 )
 from inloop.loop import squeezing_from_lambda
 from inloop.squeezed_bath import free_rates
@@ -90,18 +89,18 @@ def test_steady_state_annihilated_by_generator():
     for _ in range(200):
         lam, eta, eps = random_params(rng)
         gen = build_generator(lam, eta, eps)
-        ss = steady_state(lam, eta, eps)
-        assert np.allclose(gen.apply(ss), 0.0, atol=1e-12)
+        ss = rates(lam, eta, eps).steady_state()
+        assert np.allclose(gen.drift @ ss.bloch + gen.constant, 0.0, atol=1e-12)
 
 
 def test_steady_state_values():
-    assert steady_state(0.0, 0.8, 0.95).z == -1.0
-    ss = steady_state(**FIG2)
+    assert rates(0.0, 0.8, 0.95).steady_state().z == -1.0
+    ss = rates(**FIG2).steady_state()
     assert abs(ss.z - (-0.24 / 0.62)) < 1e-14
     assert abs(ss.z - (-1.0 + 0.76**2 / (2 * 0.76 * 0.24 + 0.76**2))) < 1e-12
     assert abs(ss.z + 0.3870967741935484) < 1e-12
     # maximal mixing in the strong-feedback limit
-    assert abs(steady_state(1e8, 0.8, 0.95).z) < 1e-5
+    assert abs(rates(1e8, 0.8, 0.95).steady_state().z) < 1e-5
 
 
 def test_evolve_examples():

@@ -2,14 +2,16 @@
 matrix regression oracle, transform convention, numerical route, fits, and
 the two-model comparison report."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from inloop.bloch import PAULI_X, PAULI_Y, bloch_to_matrix
+from inloop.bloch import PAULI_X, PAULI_Y
 from inloop.errors import ParameterError
-from inloop.feedback import RateSet, build_generator, rates, steady_state
+from inloop.feedback import RateSet, build_generator, rates
 from inloop.spectra import (
     analytic_power_spectrum,
     comparison_report,
@@ -19,10 +21,11 @@ from inloop.spectra import (
     spectral_weight,
     total_flux,
 )
-from inloop.squeezed_bath import build_squeezed_generator, free_rates, free_steady_state
+from inloop.squeezed_bath import build_squeezed_generator, free_rates
+from oracles import bloch_to_matrix
 
 FIG2_RATES = rates(-0.76, 0.8, 0.95)
-FIG2_ZSS = steady_state(-0.76, 0.8, 0.95).z
+FIG2_ZSS = rates(-0.76, 0.8, 0.95).steady_state().z
 
 
 def feedback_superop_matrix(lam, eta, eps):
@@ -70,7 +73,7 @@ def test_correlation_against_matrix_regression_oracle():
     # sigma+ trace: <sigma+(tau) sigma(0)> = Tr[sigma+ exp(L tau)(sigma rho_ss)]
     lam, eta, eps = -0.76, 0.8, 0.95
     sup = feedback_superop_matrix(lam, eta, eps)
-    rho_ss = bloch_to_matrix(steady_state(lam, eta, eps))
+    rho_ss = bloch_to_matrix(rates(lam, eta, eps).steady_state())
     sig = np.array([[0, 0], [1, 0]], dtype=complex)
     start = (sig @ rho_ss).reshape(4, order="F")
     rs = rates(lam, eta, eps)
@@ -137,6 +140,20 @@ def test_numerical_matches_analytic_both_models():
         num = numerical_power_spectrum(gen, 0.8, grid, tau_max=200.0 / 0.12, dtau=1e-3)
         ana = analytic_power_spectrum(rs, 0.8, grid)
         assert np.max(np.abs(num.values - ana.values)) < 1e-4
+
+
+def test_numerical_spectrum_reads_the_generator():
+    # a 1 % shift of gamma_x in the drift alone must fail acceptance
+    # criterion 3's numerical-vs-analytic comparison (it moves the spectrum
+    # by about 4e-4); the generator's closed-form rates stay unperturbed
+    grid = np.linspace(-3.0, 3.0, 1201)
+    gen = build_generator(-0.76, 0.8, 0.95)
+    drift = gen.drift.copy()
+    drift[0, 0] *= 1.01
+    ana = analytic_power_spectrum(gen.rates, 0.8, grid)
+    for g, agrees in ((gen, True), (dataclasses.replace(gen, drift=drift), False)):
+        num = numerical_power_spectrum(g, 0.8, grid, tau_max=200.0 / 0.12, dtau=1e-3)
+        assert (np.max(np.abs(num.values - ana.values)) < 1e-4) == agrees
 
 
 def test_numerical_rejects_underresolved():

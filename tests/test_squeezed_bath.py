@@ -11,7 +11,6 @@ from inloop.feedback import propagate, rates_from_squeezing
 from inloop.squeezed_bath import (
     build_squeezed_generator,
     free_rates,
-    free_steady_state,
     photon_parameters,
 )
 from inloop.bloch import AtomState
@@ -76,9 +75,9 @@ def test_photon_parameters_against_root_finding():
 
 
 def test_steady_state_values():
-    assert free_steady_state(0.8, 1.0).z == -1.0
-    assert abs(free_steady_state(0.8, 0.05).z + 1.0 / 8.22) < 1e-12
-    assert free_steady_state(0.0, 0.05).z == -1.0
+    assert free_rates(0.8, 1.0).steady_state().z == -1.0
+    assert abs(free_rates(0.8, 0.05).steady_state().z + 1.0 / 8.22) < 1e-12
+    assert free_rates(0.0, 0.05).steady_state().z == -1.0
 
 
 def test_gamma_y_strictly_decreasing_in_level():
@@ -116,5 +115,5 @@ def test_free_evolve_matches_rates():
     rs = free_rates(0.8, 0.05)
     assert abs(s.x - np.exp(-rs.gamma_x * 0.7)) < 1e-14
     assert abs(s.y - np.exp(-rs.gamma_y * 0.7)) < 1e-14
-    zss = free_steady_state(0.8, 0.05).z
+    zss = free_rates(0.8, 0.05).steady_state().z
     assert abs(s.z - (zss - zss * np.exp(-rs.gamma_z * 0.7))) < 1e-14

@@ -31,12 +31,10 @@ from inloop.trajectories import (
     _run_cuts,
     _run_slice,
     ensemble_current_psd,
-    feedback_drive,
     fit_decay_rate,
-    mean_current,
     run_ensemble,
-    step_conditioned,
 )
+from oracles import feedback_drive, mean_current, step_conditioned
 
 
 def make_config(**kw):
