@@ -127,12 +127,6 @@ class AtomOperator:
         )
 
     @classmethod
-    def from_matrix(cls, m) -> "AtomOperator":
-        m = np.asarray(m, dtype=complex)
-        a0 = 0.5 * np.trace(m)
-        return cls(a0, *(0.5 * np.trace(m @ p) for p in PAULIS))
-
-    @classmethod
     def lowering(cls) -> "AtomOperator":
         """sigma = |g><e| = (sigma_x - i sigma_y)/2."""
         return cls(0.0, 0.5, -0.5j, 0.0)

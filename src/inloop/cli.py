@@ -132,7 +132,7 @@ def _feedback_lambda(args) -> float:
 
 def cmd_rates(args) -> int:
     report: dict = {}
-    if args.lam is not None or args.g is not None:
+    if args.lam is not None or args.g is not None or args.eps is not None:
         lam = _feedback_lambda(args)
         g = args.g if args.g is not None else gain_from_lambda(lam, args.eta)
         rs = rates(lam, args.eta, args.eps)
@@ -209,12 +209,12 @@ def cmd_spectrum(args) -> int:
         if args.level is None:
             raise ParameterError("the free model needs --L")
         gen = build_squeezed_generator(args.eta, args.level)
-    rs = gen.rates
     grid = _omega_grid(-args.omega_max, args.omega_max, args.points)
     if args.method == "analytic":
-        spec = analytic_power_spectrum(rs, args.eta, grid)
+        spec = analytic_power_spectrum(gen.rates, args.eta, grid)
     else:
-        tau_max = args.tau_max or 200.0 / min(rs.gamma_x, rs.gamma_y)
+        slowest = np.min(-np.linalg.eigvals(gen.drift).real)
+        tau_max = 200.0 / slowest if args.tau_max is None else args.tau_max
         spec = numerical_power_spectrum(gen, args.eta, grid, tau_max, args.dtau)
     out = _outdir(args) / args.out
     write_csv(out, {"omega": spec.grid, "value": spec.values},
@@ -331,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float)
     p.add_argument("--L", dest="level", type=float)
     p.add_argument("--method", choices=["analytic", "numerical"], default="analytic")
-    p.add_argument("--tau-max", type=float, help="transform cutoff (numerical method)")
+    p.add_argument("--tau-max", type=float,
+                   help="transform cutoff (numerical method; default 200 slowest decay times)")
     p.add_argument("--dtau", type=float, default=1e-3, help="transform step (numerical method)")
     p.add_argument("--omega-max", type=float, default=3.0)
     p.add_argument("--points", type=int, default=1201)

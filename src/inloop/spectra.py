@@ -22,10 +22,11 @@ above is adopted throughout.
 
 The analytic evaluator (the Lorentzian pair) reads the closed-form rates.
 The numerical route reads only the generator's drift and constant: it
-regresses sigma rho_ss through the drift and transforms c(tau) by
-quadrature.  The two must agree to the discretization tolerance, which is
-the main cross-check of the module.  The total flux integral is
-int P(w) dw = (1-eta)(gamma_z - C)/(4 gamma_z).
+regresses sigma rho_ss through the drift's eigenmodes and sums the
+trapezoid rule for the transform exactly per mode, with the exact tail;
+nothing is sampled or fitted.  The two must agree to the rule's
+dtau-limited error, which is the main cross-check of the module.  The
+total flux integral is int P(w) dw = (1-eta)(gamma_z - C)/(4 gamma_z).
 """
 
 from __future__ import annotations
@@ -94,46 +95,21 @@ def total_flux(rate_set: RateSet, eta: float) -> float:
     return (1.0 - eta) * spectral_weight(rate_set) / 4.0
 
 
-def _oscillatory_transform(samples: np.ndarray, dtau: float, grid: np.ndarray) -> np.ndarray:
-    """Trapezoid quadrature of int_0^T c(tau) exp(i w tau) dtau on a uniform
-    tau grid, evaluated for every w at once.
-
-    For a uniformly spaced frequency grid this is a chirp-z transform
-    (cost ~ FFT); otherwise the sum is accumulated in tau blocks.
-    """
-    x = samples.astype(complex)
-    x[0] *= 0.5
-    x[-1] *= 0.5
-    x *= dtau
-    dws = np.diff(grid)
-    if dws.size and np.allclose(dws, dws[0], rtol=1e-9, atol=0.0):
-        from scipy.signal import czt
-
-        a = np.exp(-1j * grid[0] * dtau)
-        w = np.exp(1j * dws[0] * dtau)
-        return czt(x, m=grid.size, w=w, a=a)
-    taus = np.arange(samples.size) * dtau
-    out = np.zeros(grid.size, dtype=complex)
-    for start in range(0, samples.size, 65536):
-        chunk = slice(start, min(start + 65536, samples.size))
-        out += np.exp(1j * np.multiply.outer(grid, taus[chunk])) @ x[chunk]
-    return out
-
-
 def numerical_power_spectrum(
     gen: AffineGenerator, eta: float, grid, tau_max: float, dtau: float
 ) -> Spectrum:
     """Fluorescence spectrum from the generator's drift and constant alone,
-    by quadrature of the one-sided transform of the correlation function,
-    with an analytic correction for the tail beyond tau_max (single
-    exponential fitted to the last fifth of the samples).
+    by the trapezoid rule for the one-sided transform of the correlation
+    function on the lags 0, dtau, ..., tau_max, plus the exact tail beyond
+    tau_max.
 
     The steady state solves drift @ r_ss = -constant.  With sigma =
     a . sigma_vec, the operator sigma rho_ss has Pauli components
     a + i a x r_ss and trace a . r_ss = <sigma>_ss = 0, so it evolves under
     the drift alone, through one eigendecomposition, and
-    c(tau) = conj(a) . exp(drift tau) (a + i a x r_ss).  The decay rates that
-    bound tau_max and dtau are those of the drift's eigenvalues.
+    c(tau) = conj(a) . exp(drift tau) (a + i a x r_ss) = sum_k w_k
+    exp(lam_k tau) over the drift's eigenvalues lam_k, whose decay rates
+    bound tau_max and dtau.  The cost does not grow with tau_max / dtau.
 
     `gen` is the `AffineGenerator` of either model.
     """
@@ -156,20 +132,14 @@ def numerical_power_spectrum(
         )
     a = AtomOperator.lowering().vector
     weights = (np.conj(a) @ vecs) * np.linalg.solve(vecs, a + 1j * np.cross(a, r_ss))
-    taus = np.arange(int(round(tau_max / dtau)) + 1) * dtau
-    c = sum(w * np.exp(lam * taus) for lam, w in zip(evals, weights))
-
-    transform = _oscillatory_transform(c, dtau, grid)
-
-    # Tail fit: log-linear regression over the last fifth of the samples.
-    tail = slice(int(0.8 * taus.size), taus.size)
-    if np.all(c[tail].real > 0.0):
-        slope, intercept = np.polyfit(taus[tail], np.log(c[tail].real), 1)
-        g_fit, a_fit = -slope, np.exp(intercept)
-        transform = transform + a_fit * np.exp(
-            (1j * grid - g_fit) * taus[-1]
-        ) / (g_fit - 1j * grid)
-
+    # With s = lam_k + i w and z = exp(s dtau), mode k's trapezoid sum over
+    # tau_j = j dtau, j = 0..n, is a geometric series in z; its tail is -z^n/s.
+    n = int(round(tau_max / dtau))
+    s = np.add.outer(1j * grid, evals)
+    z_n = np.exp(s * (n * dtau))
+    step = np.expm1(s * dtau)
+    trapezoid = dtau * ((1.0 - z_n * (1.0 + step)) / -step - 0.5 * (1.0 + z_n))
+    transform = (trapezoid - z_n / s) @ weights
     vals = (1.0 - eta) / (2.0 * np.pi) * np.real(transform)
     return Spectrum(grid=grid, values=vals)
 

@@ -21,6 +21,7 @@ subtraction; the flow is linear.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import expm
 
 from inloop.bloch import (
     EXACT_PURITY_TOL,
@@ -146,3 +147,34 @@ def step_conditioned(
     if n2 > 1.0:
         r /= np.sqrt(n2)
     return AtomState.from_bloch(r)
+
+
+def trapezoid_power_spectrum(drift, constant, eta, grid, tau_max, dtau) -> np.ndarray:
+    """Fluorescence spectrum (1 - eta)/(2 pi) Re int_0^tau_max exp(i w tau)
+    c(tau) dtau by `np.trapezoid` on the lags 0, dtau, ..., tau_max, with no
+    tail beyond tau_max.
+
+    c(tau) = Tr[sigma+ m(tau)] for m(0) = sigma rho_ss, built by 2x2 matrix
+    arithmetic.  The Pauli components (Tr m, Tr m sigma_k) of m are stepped
+    by the exact one-step map expm(G dtau) of the affine Bloch generator
+    G = [[0, 0], [constant, drift]], so no eigendecomposition is involved.
+    """
+    r_ss = np.linalg.solve(drift, -constant)
+    sigma = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    m0 = sigma @ bloch_to_matrix(AtomState.from_bloch(r_ss))
+    gen = np.zeros((4, 4))
+    gen[1:, 0] = constant
+    gen[1:, 1:] = drift
+    step = expm(gen * dtau)
+    n = int(round(tau_max / dtau))
+    comps = np.empty((n + 1, 4), dtype=complex)
+    comps[0] = [np.trace(m0)] + [np.trace(m0 @ p) for p in PAULIS]
+    for j in range(n):
+        comps[j + 1] = step @ comps[j]
+    # m = (c0 I + c . sigma_vec)/2, so Tr[sigma+ m] = comps . readout
+    sigma_plus = sigma.conj().T
+    readout = 0.5 * np.array([np.trace(sigma_plus)] + [np.trace(sigma_plus @ p) for p in PAULIS])
+    c = comps @ readout
+    taus = np.arange(n + 1) * dtau
+    transform = [np.trapezoid(c * np.exp(1j * w * taus), dx=dtau) for w in grid]
+    return (1.0 - eta) / (2.0 * np.pi) * np.real(transform)

@@ -86,6 +86,11 @@ def test_rates_requires_exactly_one_of_lambda_or_g(tmp_path):
     assert r.returncode == 4
     r = run_cli("rates", "--eta", "0.8", cwd=tmp_path)
     assert r.returncode == 4
+    # --eps belongs to the feedback model, which then needs its strength
+    r = run_cli("rates", "--eta", "0.8", "--eps", "0.95", "--L", "0.05", cwd=tmp_path)
+    assert r.returncode == 4
+    assert "--lambda or --g" in r.stderr
+    assert r.stdout == ""
 
 
 def test_rates_domain_error_exit_code(tmp_path):
@@ -198,6 +203,9 @@ def test_spectrum_csv_matches_library(tmp_path, model, method):
         (["spectrum", "--model", "free", "--eta", "0.8", "--L", "0.05",
           "--method", "numerical", "--dtau=-1e-3"],
          "spectrum.csv", "dtau must be positive, got -0.001"),
+        (["spectrum", "--model", "free", "--eta", "0.8", "--L", "0.05",
+          "--method", "numerical", "--tau-max", "0"],
+         "spectrum.csv", "tau_max = 0 under-resolves the slowest decay"),
         (["spectrum", "--model", "feedback", "--eta", "0.8", "--eps", "0.95", "--g", "-19",
           "--L", "0.05"],
          "spectrum.csv", "--model feedback does not take --L"),
@@ -208,7 +216,7 @@ def test_spectrum_csv_matches_library(tmp_path, model, method):
          "spectrum.csv", "--model free does not take --lambda"),
     ],
     ids=["loop-spectrum-points", "spectrum-points", "spectrum-zero-points",
-         "zero-dtau", "negative-dtau", "feedback-with-L", "free-with-eps-g",
+         "zero-dtau", "negative-dtau", "zero-tau-max", "feedback-with-L", "free-with-eps-g",
          "free-with-lambda"],
 )
 def test_bad_grid_arguments_are_domain_errors(tmp_path, args, csv, message):
@@ -328,6 +336,24 @@ def test_import_leaves_scipy_signal_and_optimize_unloaded():
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_numerical_spectrum_leaves_scipy_signal_unloaded():
+    # the transform is summed in closed form per drift eigenmode, so a call
+    # needs no signal-processing routine
+    code = (
+        "import sys, numpy as np; "
+        "from inloop import build_squeezed_generator, numerical_power_spectrum; "
+        "numerical_power_spectrum(build_squeezed_generator(0.8, 0.05), 0.8, "
+        "np.linspace(-3, 3, 61), 200.0, 1e-3); "
+        "print('scipy.signal' in sys.modules)"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
 
 
 def test_import_leaves_process_pool_modules_unloaded():

@@ -22,7 +22,7 @@ from inloop.spectra import (
     total_flux,
 )
 from inloop.squeezed_bath import build_squeezed_generator, free_rates
-from oracles import bloch_to_matrix
+from oracles import bloch_to_matrix, trapezoid_power_spectrum
 
 FIG2_RATES = rates(-0.76, 0.8, 0.95)
 FIG2_ZSS = rates(-0.76, 0.8, 0.95).steady_state().z
@@ -171,6 +171,25 @@ def test_numerical_transform_nonuniform_grid_path():
     num = numerical_power_spectrum(gen, 0.8, grid, tau_max=400.0, dtau=1e-3)
     ana = analytic_power_spectrum(FIG2_RATES, 0.8, grid)
     assert np.max(np.abs(num.values - ana.values)) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [build_generator(-0.76, 0.8, 0.95), build_squeezed_generator(0.8, 0.05)],
+    ids=["feedback", "free"],
+)
+@pytest.mark.parametrize(
+    "grid",
+    [np.linspace(-3, 3, 61), np.concatenate([np.linspace(-1, 1, 41), [1.5, 2.7]])],
+    ids=["uniform", "nonuniform"],
+)
+def test_numerical_spectrum_is_the_trapezoid_rule(gen, grid):
+    # tau_max spans 36 of the slowest (0.12) decay times, so the tail the
+    # library adds and the oracle omits is below 1e-15
+    tau_max, dtau = 300.0, 2e-3
+    num = numerical_power_spectrum(gen, 0.8, grid, tau_max, dtau)
+    oracle = trapezoid_power_spectrum(gen.drift, gen.constant, 0.8, grid, tau_max, dtau)
+    assert np.max(np.abs(num.values - oracle) / np.abs(oracle)) < 1e-10
 
 
 def test_lorentzian_fit_recovers_both_widths():
