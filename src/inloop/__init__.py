@@ -4,7 +4,8 @@ The package covers the full chain from the classical electro-optic feedback
 loop to the atomic response:
 
 - `inloop.bloch`: exact single-qubit algebra (states, operators, the
-  damping and feedback-coupling superoperators in Bloch form, Choi checks);
+  damping and feedback-coupling superoperators as real 4x4 generators on
+  the Pauli coordinates (1, x, y, z), and the closed-form Choi check);
 - `inloop.loop`: loop filters, transfer functions, stability, in-loop and
   photocurrent spectra, optimal gain, and a Monte Carlo loop simulator;
 - `inloop.feedback`: the Markovian feedback master equation and the model

@@ -13,21 +13,28 @@ and the ground state sits at the south pole (0, 0, -1).  With this choice the
 homodyne measurement of the X quadrature reads out sigma_x and the feedback
 Hamiltonian couples through sigma_y.
 
-Superoperators are exposed in Bloch-tangent form: a map from a state s to the
-real 3-vector (dx, dy, dz) such that the matrix image is
-(dx sigma_x + dy sigma_y + dz sigma_z) / 2 (every generator term handled here
-is trace free).  For A = a0 I + a . sigma_vec with complex a, the closed
+Superoperators are exposed as real 4x4 generators G on the Pauli
+coordinates (c0, c) = (Tr m, Tr[m sigma_vec]) of a 2x2 matrix
+m = (c0 I + c . sigma_vec)/2.  A state has c0 = 1 and c = r, so its Bloch
+equations read r_dot = drift @ r + constant with drift = G[1:, 1:] and
+constant = G[1:, 0]; the first row of G vanishes because every generator
+term handled here is trace free.  For A = a0 I + a . sigma_vec with complex
+a, and [u]x the cross-product matrix ([u]x v = u x v), the closed
 Pauli-algebra forms used below follow from
 (u . sigma_vec)(v . sigma_vec) = (u . v) I + i (u x v) . sigma_vec:
 
 damping         D[A]rho = A rho A+ - {A+A, rho}/2
-    tangent = -2|a|^2 r + (conj(a) . r) a + (a . r) conj(a)
-              + i a0 (r x conj(a)) - i conj(a0) (r x a) - 2i (conj(a) x a)
+    drift    = -2|a|^2 I_3 + a conj(a)^T + conj(a) a^T
+               - i a0 [conj(a)]x + i conj(a0) [a]x
+    constant = -2i conj(a) x a
 
-coupling        -i[B, A rho + rho A+] for Hermitian B = h . sigma_vec
-    tangent = 2 h x V,  V = 2 Re(a) + 2 Re(a0) r - 2 Im(a) x r
+coupling        -i[B, A rho + rho A+] for Hermitian B = b0 I + h . sigma_vec
+    drift    = 4 Re(a0) [h]x - 4 [h]x [Im(a)]x
+    constant = 4 h x Re(a)
 
-Both tangents are affine in r.
+The channel of G over a time t has the propagator P = expm(G t) on the
+same coordinates, and its Choi matrix sum_ij E(|i><j|) kron |i><j| is
+J = (1/2) sum_mn P[m, n] sigma_m kron sigma_n^T with sigma_0 = I.
 """
 
 from __future__ import annotations
@@ -140,93 +147,64 @@ class AtomOperator:
         return cls(1.0, 0.0, 0.0, 0.0)
 
 
-def pauli_components(m) -> tuple[complex, np.ndarray]:
-    """Decompose a 2x2 matrix as (c0, c) with m = (c0 I + c . sigma_vec)/2,
-    i.e. c0 = Tr[m] and c_k = Tr[m sigma_k]."""
-    m = np.asarray(m, dtype=complex)
-    c0 = np.trace(m)
-    c = np.array([np.trace(m @ p) for p in PAULIS])
-    return c0, c
+def _cross_matrix(u) -> np.ndarray:
+    """[u]x, the matrix of v -> u x v."""
+    return np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
 
 
-def dissipator(a: AtomOperator, s: AtomState) -> np.ndarray:
-    """Bloch tangent of the damping superoperator D[A]rho = A rho A+
-    - (A+A rho + rho A+A)/2.  Trace preserving and linear in the state."""
+def _generator(drift, constant) -> np.ndarray:
+    """4x4 generator with the given Bloch drift and constant and a zero
+    (trace) row."""
+    g = np.zeros((4, 4))
+    g[1:, 1:] = drift
+    g[1:, 0] = constant
+    return g
+
+
+def dissipator(a: AtomOperator) -> np.ndarray:
+    """Generator of the damping superoperator D[A]rho = A rho A+
+    - (A+A rho + rho A+A)/2.  Trace preserving."""
     av = a.vector
     ac = np.conj(av)
-    r = s.bloch
     a0 = complex(a.a0)
-    t = (
-        -2.0 * float(np.real(ac @ av)) * r
-        + (ac @ r) * av
-        + (av @ r) * ac
-        + 1j * a0 * np.cross(r, ac)
-        - 1j * np.conj(a0) * np.cross(r, av)
-        - 2j * np.cross(ac, av)
+    drift = (
+        np.outer(av, ac)
+        + np.outer(ac, av)
+        - 1j * a0 * _cross_matrix(ac)
+        + 1j * np.conj(a0) * _cross_matrix(av)
     )
-    return np.real(t)
+    drift -= 2.0 * np.real(ac @ av) * np.eye(3)
+    return _generator(np.real(drift), np.real(-2j * (_cross_matrix(ac) @ av)))
 
 
-def coupling_commutator(a: AtomOperator, b: AtomOperator, s: AtomState) -> np.ndarray:
-    """Bloch tangent of -i[B, A rho + rho A+] for Hermitian B.
+def coupling_commutator(a: AtomOperator, b: AtomOperator) -> np.ndarray:
+    """Generator of -i[B, A rho + rho A+] for Hermitian B.
 
     This is the feedback-coupling term of a homodyne-mediated feedback
     master equation: the record of jump operator A drives the Hamiltonian
-    direction B.  Trace preserving and affine in the state.
+    direction B.  Trace preserving.
     """
     if not b.is_hermitian:
         raise ParameterError("coupling direction B must be Hermitian")
-    re_a = np.real(a.vector)
-    im_a = np.imag(a.vector)
-    r = s.bloch
-    v = 2.0 * re_a + 2.0 * float(np.real(a.a0)) * r - 2.0 * np.cross(im_a, r)
-    return 2.0 * np.cross(np.real(b.vector), v)
+    h = _cross_matrix(np.real(b.vector))
+    drift = 4.0 * float(np.real(a.a0)) * h - 4.0 * h @ _cross_matrix(np.imag(a.vector))
+    return _generator(drift, 4.0 * h @ np.real(a.vector))
 
 
-def affine_generator(tangent_fn) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble the (3x3 drift, constant) affine representation of a
-    trace-preserving generator from its Bloch-tangent map, by probing the
-    maximally mixed state and the three Pauli axes."""
-    base = np.asarray(tangent_fn(AtomState(0.0, 0.0, 0.0)), dtype=float)
-    cols = []
-    for axis in np.eye(3):
-        t = np.asarray(tangent_fn(AtomState.from_bloch(axis)), dtype=float)
-        cols.append(t - base)
-    return np.column_stack(cols), base
+# sigma_m kron sigma_n^T / 2 for sigma_0 = I, so J = sum_mn P[m, n] _CHOI_TERMS[m, n].
+_PAULI_BASIS = (IDENTITY,) + PAULIS
+_CHOI_TERMS = 0.5 * np.array([[np.kron(sm, sn.T) for sn in _PAULI_BASIS] for sm in _PAULI_BASIS])
 
 
-def affine_propagator(drift, constant, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exponential of an affine Bloch generator: returns (M, v) with
-    r(t) = M r(0) + v, via the 4x4 embedding acting on (1, x, y, z)."""
-    g = np.zeros((4, 4))
-    g[1:, 1:] = np.asarray(drift, dtype=float)
-    g[1:, 0] = np.asarray(constant, dtype=float)
-    p = expm(g * float(t))
-    return p[1:, 1:], p[1:, 0]
-
-
-def apply_affine_channel(m, v, op) -> np.ndarray:
-    """Extend the affine Bloch map r -> M r + v to a linear map on all 2x2
-    matrices (the trace component multiplies the constant)."""
-    c0, c = pauli_components(op)
-    cp = np.asarray(m, dtype=complex) @ c + np.asarray(v, dtype=complex) * c0
-    return 0.5 * (c0 * IDENTITY + cp[0] * PAULI_X + cp[1] * PAULI_Y + cp[2] * PAULI_Z)
-
-
-def choi_matrix(m, v) -> np.ndarray:
-    """Choi matrix sum_ij E(|i><j|) kron |i><j| of the channel defined by
-    the affine Bloch map (M, v)."""
-    j = np.zeros((4, 4), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            unit = np.zeros((2, 2), dtype=complex)
-            unit[a, b] = 1.0
-            j += np.kron(apply_affine_channel(m, v, unit), unit)
+def _choi_matrix(propagator) -> np.ndarray:
+    """Hermitized Choi matrix of the channel with 4x4 Pauli-coordinate
+    propagator P."""
+    j = np.tensordot(propagator, _CHOI_TERMS, axes=2)
     return 0.5 * (j + j.conj().T)
 
 
 def smallest_choi_eigenvalue(drift, constant, t: float) -> float:
     """Minimum Choi eigenvalue of exp(generator * t); nonnegative (within
     rounding) iff the map is completely positive."""
-    m, v = affine_propagator(drift, constant, t)
-    return float(np.min(np.linalg.eigvalsh(choi_matrix(m, v))))
+    p = expm(_generator(drift, constant) * float(t))
+    return float(np.min(np.linalg.eigvalsh(_choi_matrix(p))))

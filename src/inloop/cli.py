@@ -178,17 +178,18 @@ def cmd_loop_sim(args) -> int:
     run, loop = _read_run_config(args, _LOOP_SIM_KEYS, "loop-sim")
     dt = run["dt"]
     record = simulate_classical_loop(loop, dt, run["duration"], run["seed"])
-    outdir = _outdir(args)
-    outputs = []
-
+    # Every table is computed before the first file is written.
+    tables = {}
     for name, series in (("psd_xin.csv", record.x_in), ("psd_current.csv", record.current)):
         omega, psd = welch_spectrum(series, dt, nperseg=run.get("nperseg"))
-        write_csv(outdir / name, {"omega": omega, "value": psd})
-        outputs.append(name)
+        tables[name] = {"omega": omega, "value": psd}
     if run["emit_records"]:
         for name, series in (("xin.csv", record.x_in), ("current.csv", record.current)):
-            write_csv(outdir / name, {"t": record.times, "value": series})
-            outputs.append(name)
+            tables[name] = {"t": record.times, "value": series}
+    outdir = _outdir(args)
+    for name, table in tables.items():
+        write_csv(outdir / name, table)
+    outputs = list(tables)
 
     write_manifest(outdir / "loop_manifest.json", "loop-sim", run, outputs)
     print(f"wrote {', '.join(outputs)} and loop_manifest.json in {outdir}")
@@ -258,11 +259,9 @@ def cmd_trajectories(args) -> int:
         phi_guard=run["phi_guard"],
     )
     result = run_ensemble(cfg)
-    outdir = _outdir(args)
-    outputs = ["means.csv"]
-    write_csv(
-        outdir / "means.csv",
-        {
+    # Every table is computed before the first file is written.
+    tables = {
+        "means.csv": {
             "t": result.times,
             "x": result.mean[:, 0],
             "y": result.mean[:, 1],
@@ -270,12 +269,15 @@ def cmd_trajectories(args) -> int:
             "se_x": result.stderr[:, 0],
             "se_y": result.stderr[:, 1],
             "se_z": result.stderr[:, 2],
-        },
-    )
+        }
+    }
     if cfg.record_current:
         omega, psd = ensemble_current_psd(result, nperseg=run.get("nperseg"))
-        write_csv(outdir / "current_psd.csv", {"omega": omega, "value": psd})
-        outputs.append("current_psd.csv")
+        tables["current_psd.csv"] = {"omega": omega, "value": psd}
+    outdir = _outdir(args)
+    for name, table in tables.items():
+        write_csv(outdir / name, table)
+    outputs = list(tables)
 
     run["record_stride"] = cfg.stride()
     write_manifest(outdir / "trajectories_manifest.json", "trajectories", run, outputs)

@@ -39,13 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import (
-    AtomOperator,
-    AtomState,
-    affine_generator,
-    coupling_commutator,
-    dissipator,
-)
+from .bloch import AtomOperator, AtomState, coupling_commutator, dissipator
 from .errors import ParameterError
 
 
@@ -109,8 +103,9 @@ class AffineGenerator:
     """Affine Bloch-space generator r_dot = drift @ r + constant of a master
     equation whose Bloch equations decouple with the closed-form `rates`.
 
-    `drift` and `constant` are assembled numerically from the superoperator
-    terms, so eigenvalues of `drift` provide an independent check of the
+    `drift` and `constant` are the Bloch blocks of the master equation's
+    4x4 generator, summed from the superoperator terms of `inloop.bloch`,
+    so eigenvalues of `drift` provide an independent check of the
     closed-form rates.
     """
 
@@ -122,24 +117,19 @@ class AffineGenerator:
 def build_generator(lam: float, eta: float, eps: float) -> AffineGenerator:
     """Assemble the feedback master equation as an affine Bloch generator.
 
-    The three terms are applied through the generic superoperators and
-    tomographed into (drift, constant); trace preservation holds by
-    construction since every term is trace free.
+    The three terms are the 4x4 generators of the superoperators, weighted
+    and summed; trace preservation holds by construction since every term
+    is trace free.
     """
     rs = rates(lam, eta, eps)
     sigma = AtomOperator.lowering()
     half_sy = AtomOperator(0.0, 0.0, 0.5, 0.0)
-    noise = lam * lam / (eta * eps)
-
-    def tangent(s: AtomState) -> np.ndarray:
-        t = dissipator(sigma, s)
-        if lam != 0.0:
-            t = t + lam * coupling_commutator(sigma, half_sy, s)
-            t = t + noise * dissipator(half_sy, s)
-        return t
-
-    drift, constant = affine_generator(tangent)
-    return AffineGenerator(rs, drift, constant)
+    g = (
+        dissipator(sigma)
+        + lam * coupling_commutator(sigma, half_sy)
+        + lam * lam / (eta * eps) * dissipator(half_sy)
+    )
+    return AffineGenerator(rs, g[1:, 1:], g[1:, 0])
 
 
 def propagate(rate_set: RateSet, s0: AtomState, t) -> np.ndarray:

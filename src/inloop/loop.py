@@ -44,6 +44,8 @@ from .errors import InstabilityError, ParameterError
 # Frequency grid for stability scans: log spaced over [1e-3, 1e3] / tau.
 STABILITY_GRID_POINTS = 4096
 STABILITY_GRID_DECADES = (-3.0, 3.0)
+# FFT length for the real-axis crossings of the discretized loop response.
+CROSSING_GRID_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -352,7 +354,7 @@ def discrete_loop_transfer(filt: LoopFilter, dt: float, omega) -> np.ndarray:
     return np.exp(1j * np.multiply.outer(omega, lags)) @ w
 
 
-def discrete_crossing_excess(weights: np.ndarray, g: float, n_grid: int = 1 << 16) -> float:
+def discrete_crossing_excess(weights: np.ndarray, g: float) -> float:
     """Largest real part of g W(exp(-i theta)) at real-axis crossings of the
     discretized open-loop response, W(z) = sum_j w_j z^{-j}; >= 1 means the
     loop recursion has poles outside the unit circle.
@@ -363,7 +365,7 @@ def discrete_crossing_excess(weights: np.ndarray, g: float, n_grid: int = 1 << 1
     even though the continuous rectangular loop is stable at any g < 1.
     """
     w = np.asarray(weights, dtype=float)
-    resp = g * np.fft.rfft(np.concatenate(([0.0], w)), n=n_grid)
+    resp = g * np.fft.rfft(np.concatenate(([0.0], w)), n=CROSSING_GRID_POINTS)
     # Points exactly on the real axis, among them theta = 0 and the Nyquist
     # point theta = pi, are crossings that no sign flip of im detects.
     return _real_axis_max(resp, resp.imag == 0.0)
@@ -435,6 +437,8 @@ def welch_spectrum(
     if nperseg is None:
         target = max(2 * x.size // (min_segments + 1), 64)
         nperseg = 1 << int(np.log2(target))
+    elif nperseg < 1:
+        raise ParameterError(f"nperseg must be at least 1, got {nperseg}")
     nperseg = int(min(nperseg, x.size))
     freqs, psd = signal.welch(
         x,

@@ -40,6 +40,10 @@ from .errors import ParameterError
 from .feedback import AffineGenerator, RateSet, rates
 from .squeezed_bath import free_rates
 
+# Frequency grid of the two-model comparison: COMPARISON_POINTS points over
+# [-COMPARISON_SPAN, COMPARISON_SPAN].
+COMPARISON_SPAN = 3.0
+COMPARISON_POINTS = 1201
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
@@ -198,12 +202,7 @@ class ComparisonReport:
         }
 
 
-def comparison_report(
-    eta: float = 0.8,
-    eps: float = 0.95,
-    span: float = 3.0,
-    n_points: int = 1201,
-) -> ComparisonReport:
+def comparison_report(eta: float = 0.8, eps: float = 0.95) -> ComparisonReport:
     """Spectra of both models at the optimal feedback point lam = -eta eps,
     where the in-loop squeezing is S = 1 - eps and the matched free bath
     has X level L = S.
@@ -218,7 +217,7 @@ def comparison_report(
     s_in = 1.0 - eps
     rs_in = rates(lam, eta, eps)
     rs_free = free_rates(eta, s_in)
-    grid = np.linspace(-span, span, n_points)
+    grid = np.linspace(-COMPARISON_SPAN, COMPARISON_SPAN, COMPARISON_POINTS)
     p_in = analytic_power_spectrum(rs_in, eta, grid).values
     p_free = analytic_power_spectrum(rs_free, eta, grid).values
     peak = float(p_in[np.argmin(np.abs(grid))])

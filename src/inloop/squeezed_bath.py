@@ -28,9 +28,7 @@ L = 2N + 2M + 1), the conversion is closed form:
 
 from __future__ import annotations
 
-import numpy as np
-
-from .bloch import AtomOperator, AtomState, affine_generator, dissipator
+from .bloch import AtomOperator, dissipator
 from .errors import ParameterError
 from .feedback import AffineGenerator, RateSet
 
@@ -62,13 +60,6 @@ def build_squeezed_generator(eta: float, level: float) -> AffineGenerator:
     generator.  The single jump operator of the squeezed channel is
     (L+1) sigma - (L-1) sigma+ = sigma_x - i L sigma_y."""
     rs = free_rates(eta, level)
-    sigma = AtomOperator.lowering()
     jump = AtomOperator(0.0, 1.0, -1.0j * level, 0.0)
-    w_vac = 1.0 - eta
-    w_sq = eta / (4.0 * level)
-
-    def tangent(s: AtomState) -> np.ndarray:
-        return w_vac * dissipator(sigma, s) + w_sq * dissipator(jump, s)
-
-    drift, constant = affine_generator(tangent)
-    return AffineGenerator(rs, drift, constant)
+    g = (1.0 - eta) * dissipator(AtomOperator.lowering()) + eta / (4.0 * level) * dissipator(jump)
+    return AffineGenerator(rs, g[1:, 1:], g[1:, 0])

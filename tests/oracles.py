@@ -3,7 +3,8 @@
 The vectorized trajectory kernel in `inloop.trajectories` is checked against
 the one-state stepper `step_conditioned` with its drive `feedback_drive` and
 current `mean_current`; the Bloch-tangent superoperators below are checked
-against brute-force 2x2 matrix arithmetic.  Conventions are those of
+against brute-force 2x2 matrix arithmetic, and `reference_choi` builds the
+Choi matrix of a generator's channel from its matrix-unit definition.  Conventions are those of
 `inloop.bloch`.  With r the Bloch vector of rho, A = a0 I + a . sigma_vec
 with complex a, and Hermitian H = h0 I + h . sigma_vec:
 
@@ -37,6 +38,44 @@ from inloop.bloch import (
 from inloop.errors import ParameterError, StepSizeError
 from inloop.loop import LoopFilter
 from inloop.trajectories import PURITY_ABORT_CEILING, PURITY_ABORT_FACTOR
+
+
+def bloch_tangent(g, s: AtomState) -> np.ndarray:
+    """Bloch tangent (G @ (1, r))[1:] of the 4x4 generator G at state s."""
+    return (np.asarray(g) @ np.concatenate(([1.0], s.bloch)))[1:]
+
+
+def generator_matrix(drift, constant) -> np.ndarray:
+    """4x4 generator G = [[0, 0], [constant, drift]] on (1, x, y, z)."""
+    gen = np.zeros((4, 4))
+    gen[1:, 0] = constant
+    gen[1:, 1:] = drift
+    return gen
+
+
+def pauli_coordinates(m) -> np.ndarray:
+    """(Tr m, Tr m sigma_x, Tr m sigma_y, Tr m sigma_z) of a 2x2 matrix."""
+    return np.array([np.trace(m)] + [np.trace(m @ p) for p in PAULIS])
+
+
+def apply_channel(propagator, m) -> np.ndarray:
+    """Image of the 2x2 matrix m = (c0 I + c . sigma_vec)/2 under the channel
+    whose 4x4 propagator acts on its Pauli coordinates (c0, c)."""
+    c = propagator @ pauli_coordinates(m)
+    return 0.5 * (c[0] * IDENTITY + c[1] * PAULI_X + c[2] * PAULI_Y + c[3] * PAULI_Z)
+
+
+def reference_choi(drift, constant, t: float) -> np.ndarray:
+    """Choi matrix sum_ij E(|i><j|) kron |i><j| of E = expm(G t), applying
+    E to each matrix unit |i><j| by 2x2 arithmetic (not hermitized)."""
+    p = expm(generator_matrix(drift, constant) * t)
+    j = np.zeros((4, 4), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            unit = np.zeros((2, 2), dtype=complex)
+            unit[a, b] = 1.0
+            j += np.kron(apply_channel(p, unit), unit)
+    return j
 
 
 def bloch_to_matrix(s: AtomState) -> np.ndarray:
@@ -130,7 +169,7 @@ def step_conditioned(
     sigma = AtomOperator.lowering()
     r = (
         s.bloch
-        + dt * dissipator(sigma, s)
+        + dt * bloch_tangent(dissipator(sigma), s)
         + np.sqrt(eta * eps) * dw * measurement_superop(sigma, s)
     )
     theta = np.sqrt(eta) * phi * dt
@@ -162,13 +201,10 @@ def trapezoid_power_spectrum(drift, constant, eta, grid, tau_max, dtau) -> np.nd
     r_ss = np.linalg.solve(drift, -constant)
     sigma = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     m0 = sigma @ bloch_to_matrix(AtomState.from_bloch(r_ss))
-    gen = np.zeros((4, 4))
-    gen[1:, 0] = constant
-    gen[1:, 1:] = drift
-    step = expm(gen * dtau)
+    step = expm(generator_matrix(drift, constant) * dtau)
     n = int(round(tau_max / dtau))
     comps = np.empty((n + 1, 4), dtype=complex)
-    comps[0] = [np.trace(m0)] + [np.trace(m0 @ p) for p in PAULIS]
+    comps[0] = pauli_coordinates(m0)
     for j in range(n):
         comps[j + 1] = step @ comps[j]
     # m = (c0 I + c . sigma_vec)/2, so Tr[sigma+ m] = comps . readout

@@ -3,29 +3,31 @@ arithmetic, linearity properties, and channel positivity."""
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from inloop.bloch import (
     AtomOperator,
     AtomState,
-    IDENTITY,
     PAULIS,
     PAULI_X,
     PAULI_Y,
-    affine_generator,
-    affine_propagator,
-    apply_affine_channel,
-    choi_matrix,
+    _choi_matrix,
     coupling_commutator,
     dissipator,
-    pauli_components,
     smallest_choi_eigenvalue,
 )
 from inloop.errors import ParameterError
+from inloop.feedback import build_generator
+from inloop.squeezed_bath import build_squeezed_generator
 from oracles import (
+    apply_channel,
+    bloch_tangent,
     bloch_to_matrix,
+    generator_matrix,
     hamiltonian_flow,
     measurement_expectation,
     measurement_superop,
+    reference_choi,
     state_from_matrix,
 )
 
@@ -87,11 +89,11 @@ def test_lowering_operator_convention():
 
 def test_dissipator_examples():
     sig = AtomOperator.lowering()
-    assert np.allclose(dissipator(sig, AtomState.ground()), 0.0)
+    assert np.allclose(bloch_tangent(dissipator(sig), AtomState.ground()), 0.0)
     s = AtomState(0.3, -0.2, 0.4)
-    assert np.allclose(dissipator(sig, s), [-0.15, 0.1, -1.4], atol=1e-15)
+    assert np.allclose(bloch_tangent(dissipator(sig), s), [-0.15, 0.1, -1.4], atol=1e-15)
     half_sy = AtomOperator(0, 0, 0.5, 0)
-    assert np.allclose(dissipator(half_sy, s), [-0.15, 0.0, -0.2], atol=1e-15)
+    assert np.allclose(bloch_tangent(dissipator(half_sy), s), [-0.15, 0.0, -0.2], atol=1e-15)
 
 
 def test_measurement_examples():
@@ -128,7 +130,7 @@ def test_superops_match_matrix_arithmetic():
         s = random_state(rng)
         rho = bloch_to_matrix(s)
         assert np.allclose(
-            dissipator(a, s), tangent_of(matrix_dissipator(a.matrix, rho)), atol=1e-12
+            bloch_tangent(dissipator(a), s), tangent_of(matrix_dissipator(a.matrix, rho)), atol=1e-12
         )
         assert np.allclose(
             measurement_superop(a, s),
@@ -144,7 +146,7 @@ def test_superops_match_matrix_arithmetic():
         b = AtomOperator(0.0, *np.real(rng.standard_normal(3)))
         m = a.matrix @ rho + rho @ a.matrix.conj().T
         assert np.allclose(
-            coupling_commutator(a, b, s),
+            bloch_tangent(coupling_commutator(a, b), s),
             tangent_of(-1j * (b.matrix @ m - m @ b.matrix)),
             atol=1e-12,
         )
@@ -157,10 +159,10 @@ def test_dissipator_and_flow_linear_in_state():
         s1, s2 = random_state(rng), random_state(rng)
         alpha = rng.uniform(0, 1)
         mix = AtomState.from_bloch(alpha * s1.bloch + (1 - alpha) * s2.bloch)
-        t_mix = alpha * np.asarray(dissipator(a, s1)) + (1 - alpha) * np.asarray(
-            dissipator(a, s2)
+        t_mix = alpha * np.asarray(bloch_tangent(dissipator(a), s1)) + (1 - alpha) * np.asarray(
+            bloch_tangent(dissipator(a), s2)
         )
-        assert np.allclose(dissipator(a, mix), t_mix, atol=1e-12)
+        assert np.allclose(bloch_tangent(dissipator(a), mix), t_mix, atol=1e-12)
         h = AtomOperator(*np.real(rng.standard_normal(4)))
         f_mix = alpha * np.asarray(hamiltonian_flow(h, s1)) + (1 - alpha) * np.asarray(
             hamiltonian_flow(h, s2)
@@ -197,23 +199,36 @@ def test_state_validation():
         AtomState(np.inf, 0.0, 0.0).validate()
 
 
-def test_pauli_components_roundtrip():
-    rng = np.random.default_rng(17)
-    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    c0, c = pauli_components(m)
-    rebuilt = 0.5 * (c0 * IDENTITY + c[0] * PAULIS[0] + c[1] * PAULIS[1] + c[2] * PAULIS[2])
-    assert np.allclose(rebuilt, m, atol=1e-14)
-
-
 def test_affine_generator_of_damping_and_channel():
     sig = AtomOperator.lowering()
-    drift, const = affine_generator(lambda s: dissipator(sig, s))
+    g = dissipator(sig)
+    drift, const = g[1:, 1:], g[1:, 0]
     assert np.allclose(drift, np.diag([-0.5, -0.5, -1.0]), atol=1e-14)
     assert np.allclose(const, [0, 0, -1.0], atol=1e-14)
     # amplitude damping for time t: completely positive, trace preserving
-    m, v = affine_propagator(drift, const, 0.3)
-    ground = apply_affine_channel(m, v, bloch_to_matrix(AtomState.ground()))
+    p = expm(g * 0.3)
+    ground = apply_channel(p, bloch_to_matrix(AtomState.ground()))
     assert abs(np.trace(ground) - 1.0) < 1e-12
     assert smallest_choi_eigenvalue(drift, const, 0.3) > -1e-12
-    j = choi_matrix(m, v)
+    j = reference_choi(drift, const, 0.3)
     assert np.max(np.abs(j - j.conj().T)) < 1e-14
+
+
+def test_choi_matches_matrix_unit_oracle():
+    # closed-form J = (1/2) sum_mn P[m, n] sigma_m kron sigma_n^T against the
+    # matrix-unit definition, over random feedback and squeezed-bath
+    # generators and times 1e-3 to 1e-1
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        eta, eps = rng.uniform(0.1, 1.0, 2)
+        gens = (
+            build_generator(rng.uniform(-eta + 1e-3, 2.0), eta, eps),
+            build_squeezed_generator(eta, np.exp(rng.uniform(-3.0, 3.0))),
+        )
+        for gen in gens:
+            t = 10.0 ** rng.uniform(-3.0, -1.0)
+            ref = reference_choi(gen.drift, gen.constant, t)
+            closed = _choi_matrix(expm(generator_matrix(gen.drift, gen.constant) * t))
+            assert np.max(np.abs(closed - ref)) < 1e-14
+            smallest = np.min(np.linalg.eigvalsh(0.5 * (ref + ref.conj().T)))
+            assert abs(smallest_choi_eigenvalue(gen.drift, gen.constant, t) - smallest) < 1e-14

@@ -271,6 +271,24 @@ def test_trajectories_unstable_config_no_partial_output(tmp_path):
     assert not (out / "means.csv").exists()
 
 
+@pytest.mark.parametrize("nperseg", [0, -8])
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("loop-sim", LOOP_CONFIG.replace("duration = 200", "duration = 50")),
+        ("trajectories", TRAJ_CONFIG + "record_current = true\n"),
+    ],
+    ids=["loop-sim", "trajectories"],
+)
+def test_nonpositive_nperseg_is_domain_error_without_output(tmp_path, command, config, nperseg):
+    (tmp_path / "run.cfg").write_text(config + f"nperseg = {nperseg}\n")
+    out = tmp_path / "out"
+    r = run_cli(command, "--config", "run.cfg", "--seed", "9", "--outdir", str(out), cwd=tmp_path)
+    assert r.returncode == 4
+    assert f"parameter error: nperseg must be at least 1, got {nperseg}" in r.stderr
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path):
     r = run_cli("trajectories", "--config", "nope.cfg", "--seed", "1", cwd=tmp_path)
     assert r.returncode == 1
