@@ -116,6 +116,8 @@ def _read_run_config(args, keys, command: str) -> tuple[dict, LoopConfig]:
         run["seed"] = args.seed
     if run["seed"] is None:
         raise ConfigError("stochastic run needs a seed (--seed or config key)")
+    if run["nperseg"] is not None and run["nperseg"] < 1:
+        raise ParameterError(f"nperseg must be at least 1, got {run['nperseg']}")
     filt = _filter_from(run["filter"], run["tau"], run["time_constant"])
     loop = LoopConfig(g=run["g"], eps=run["eps"], eta=run["eta"], filter=filt)
     return {k: v for k, v in run.items() if v is not None}, loop

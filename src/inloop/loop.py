@@ -126,8 +126,10 @@ class LoopFilter:
     def transfer(self, omega) -> np.ndarray:
         """Filter response h~(w) = int h(s) exp(i w s) ds.
 
-        Closed forms for the analytic kinds; trapezoid quadrature for
-        sampled filters.  h~(0) = 1 exactly and |h~| <= 1 for h >= 0.
+        Closed forms for the analytic kinds.  Sampled filters use the
+        trapezoid rule over their N samples, so unlike that of `density`
+        their response is periodic in w, with period 2 pi (N - 1) / tau, and
+        does not decay.  h~(0) = 1 exactly and |h~| <= 1 for h >= 0.
         """
         w = np.asarray(omega, dtype=float)
         if self.kind == "rectangular":
@@ -246,8 +248,6 @@ def in_loop_spectrum(cfg: LoopConfig, omega) -> np.ndarray:
 
     Equals 1 for an open loop, tends to 1 at high frequency, and is
     bounded below by 1 - eps (reached at the optimal gain)."""
-    if cfg.eps <= 0.0:
-        raise ParameterError("in-loop spectrum requires eps > 0")
     assert_stable(cfg)
     h = cfg.filter.transfer(omega)
     num = 1.0 + cfg.g**2 * np.abs(h) ** 2 * (1.0 / cfg.eps - 1.0)
@@ -310,15 +310,13 @@ def squeezing_from_lambda(lam: float, eta: float, eps: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class LoopRecord:
-    """Sampled classical loop run: in-loop quadrature, photocurrent and
-    feedback drive at step resolution."""
+    """Sampled classical loop run: in-loop quadrature and photocurrent."""
 
     dt: float
     seed: int
     config: LoopConfig
     x_in: np.ndarray
     current: np.ndarray
-    drive: np.ndarray
 
     @property
     def times(self) -> np.ndarray:
@@ -412,9 +410,8 @@ def simulate_classical_loop(
     xi_eps = rng.standard_normal(n) * scale
     noise = np.sqrt(cfg.eps) * xi_nu + np.sqrt(1.0 - cfg.eps) * xi_eps
     current = signal.lfilter([1.0], np.concatenate(([1.0], -cfg.g * w)), noise)
-    drive = (current - noise) / np.sqrt(cfg.eps)
-    x_in = xi_nu + drive
-    return LoopRecord(dt=dt, seed=seed, config=cfg, x_in=x_in, current=current, drive=drive)
+    x_in = xi_nu + (current - noise) / np.sqrt(cfg.eps)
+    return LoopRecord(dt=dt, seed=seed, config=cfg, x_in=x_in, current=current)
 
 
 def welch_spectrum(
@@ -426,10 +423,12 @@ def welch_spectrum(
     """Welch estimate of the two-sided spectral density on the positive
     angular-frequency axis, normalized so unit white noise is flat at 1.
 
-    Hann window, 50% overlap; the default segment length is the largest
-    power of two giving at least `min_segments` segments.  No detrending:
-    the records analyzed here are zero mean by construction, and per-segment
-    mean removal would notch the lowest frequency bins.
+    The result is half of scipy's one-sided estimate with the zero-frequency
+    and Nyquist bins dropped, which for real input is the two-sided density
+    at w > 0.  Hann window, 50% overlap; the default segment length is the
+    largest power of two giving at least `min_segments` segments.  No
+    detrending: the records analyzed here are zero mean by construction,
+    and per-segment mean removal would notch the lowest frequency bins.
     """
     from scipy import signal
 
@@ -447,13 +446,10 @@ def welch_spectrum(
         nperseg=nperseg,
         noverlap=nperseg // 2,
         detrend=False,
-        return_onesided=False,
         scaling="density",
     )
-    order = np.argsort(freqs)
-    freqs, psd = freqs[order], psd[order]
-    keep = freqs > 0.0
-    return 2.0 * np.pi * freqs[keep], psd[keep]
+    keep = slice(1, (nperseg + 1) // 2)
+    return 2.0 * np.pi * freqs[keep], 0.5 * psd[keep]
 
 
 def band_average(omega: np.ndarray, values: np.ndarray, lo: float, hi: float) -> float:

@@ -41,8 +41,8 @@ Ensembles are bitwise deterministic for a fixed (seed, n_traj, dt): each
 trajectory consumes its own generator seeded with seed XOR index (drawn in
 blocks of NOISE_BLOCK steps, which leaves the stream unchanged), all
 trajectories are stepped in lockstep by elementwise vectorized arithmetic,
-and means and variances are reduced by records.sum(axis=0), which
-accumulates the trajectory rows sequentially in trajectory-index order.
+and means and variances are reduced by records.mean(axis=0) and
+records.var(axis=0, ddof=1), which add the rows in trajectory-index order.
 With geometric filter weights (flat ones have ratio 1) a member's
 operation order does not depend on the ensemble size, so member i equals
 the single run seeded seed XOR i bitwise; general weights take the
@@ -485,12 +485,8 @@ def _run_cuts(plan: _Plan, cuts: list[int], forked: bool) -> EnsembleResult:
         failures = [run_slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
     _raise_first_failure(cfg, failures)
 
-    mean = records.sum(axis=0) / n
-    if n > 1:
-        var = np.square(records - mean).sum(axis=0) / (n - 1)
-        stderr = np.sqrt(var / n)
-    else:
-        stderr = np.full_like(mean, np.nan)
+    mean = records.mean(axis=0)
+    stderr = np.sqrt(records.var(axis=0, ddof=1) / n) if n > 1 else np.full_like(mean, np.nan)
     return EnsembleResult(
         times=rec_steps * cfg.dt,
         mean=mean,

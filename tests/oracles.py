@@ -3,10 +3,12 @@
 The vectorized trajectory kernel in `inloop.trajectories` is checked against
 the one-state stepper `step_conditioned` with its drive `feedback_drive` and
 current `mean_current`; the Bloch-tangent superoperators below are checked
-against brute-force 2x2 matrix arithmetic, and `reference_choi` builds the
-Choi matrix of a generator's channel from its matrix-unit definition.  Conventions are those of
-`inloop.bloch`.  With r the Bloch vector of rho, A = a0 I + a . sigma_vec
-with complex a, and Hermitian H = h0 I + h . sigma_vec:
+against brute-force 2x2 matrix arithmetic, `reference_choi` builds the
+Choi matrix of a generator's channel from its matrix-unit definition, and
+`two_sided_welch` is the two-sided Welch route that `welch_spectrum` is
+checked against.  Conventions are those of `inloop.bloch`.  With r the
+Bloch vector of rho, A = a0 I + a . sigma_vec with complex a, and
+Hermitian H = h0 I + h . sigma_vec:
 
 conditioning    H[A]rho = A rho + rho A+ - Tr[A rho + rho A+] rho
     tangent = 2 Re(a) - 2 Im(a) x r - (2 Re(a) . r) r
@@ -214,3 +216,25 @@ def trapezoid_power_spectrum(drift, constant, eta, grid, tau_max, dtau) -> np.nd
     taus = np.arange(n + 1) * dtau
     transform = [np.trapezoid(c * np.exp(1j * w * taus), dx=dtau) for w in grid]
     return (1.0 - eta) / (2.0 * np.pi) * np.real(transform)
+
+
+def two_sided_welch(samples, dt, nperseg=None, min_segments=100):
+    """Welch's two-sided density on the positive angular-frequency axis,
+    with the segment rule of `inloop.loop.welch_spectrum`: scipy's two-sided
+    estimate (negative frequencies included), sorted by frequency and masked
+    to w > 0."""
+    from scipy import signal
+
+    x = np.asarray(samples, dtype=float)
+    if nperseg is None:
+        target = max(2 * x.size // (min_segments + 1), 64)
+        nperseg = 1 << int(np.log2(target))
+    nperseg = int(min(nperseg, x.size))
+    freqs, psd = signal.welch(
+        x, fs=1.0 / dt, window="hann", nperseg=nperseg, noverlap=nperseg // 2,
+        detrend=False, return_onesided=False, scaling="density",
+    )
+    order = np.argsort(freqs)
+    freqs, psd = freqs[order], psd[order]
+    keep = freqs > 0.0
+    return 2.0 * np.pi * freqs[keep], psd[keep]

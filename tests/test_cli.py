@@ -277,8 +277,9 @@ def test_trajectories_unstable_config_no_partial_output(tmp_path):
     [
         ("loop-sim", LOOP_CONFIG.replace("duration = 200", "duration = 50")),
         ("trajectories", TRAJ_CONFIG + "record_current = true\n"),
+        ("trajectories", TRAJ_CONFIG),
     ],
-    ids=["loop-sim", "trajectories"],
+    ids=["loop-sim", "trajectories", "trajectories-without-current"],
 )
 def test_nonpositive_nperseg_is_domain_error_without_output(tmp_path, command, config, nperseg):
     (tmp_path / "run.cfg").write_text(config + f"nperseg = {nperseg}\n")
@@ -328,6 +329,30 @@ def test_loop_sim_manifest_round_trip(tmp_path):
     assert r.returncode == 0, r.stderr
     assert (out1 / "psd_xin.csv").read_bytes() == (out2 / "psd_xin.csv").read_bytes()
     assert (out1 / "psd_current.csv").read_bytes() == (out2 / "psd_current.csv").read_bytes()
+
+
+def test_loop_sim_emit_records_round_trip(tmp_path):
+    config = LOOP_CONFIG.replace("duration = 200", "duration = 50") + "emit_records = true\n"
+    (tmp_path / "loop.cfg").write_text(config)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    r = run_cli("loop-sim", "--config", "loop.cfg", "--seed", "5",
+                "--outdir", str(out1), cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    manifest = json.loads((out1 / "loop_manifest.json").read_text())
+    outputs = ["current.csv", "psd_current.csv", "psd_xin.csv", "xin.csv"]
+    assert manifest["outputs"] == outputs
+    assert manifest["config"]["emit_records"] is True
+    rows = (out1 / "xin.csv").read_text().splitlines()
+    assert rows[0] == "t,value"
+    assert len(rows) == 1 + 2500
+    r = run_cli("loop-sim", "--config", str(out1 / "loop_manifest.json"),
+                "--outdir", str(out2), cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    names = sorted(f.name for f in out1.iterdir())
+    assert names == sorted(outputs + ["loop_manifest.json"])
+    assert sorted(f.name for f in out2.iterdir()) == names
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_means_csv_columns(tmp_path):

@@ -24,6 +24,7 @@ from inloop.loop import (
     squeezing_from_lambda,
     welch_spectrum,
 )
+from oracles import two_sided_welch
 
 RECT = LoopFilter.rectangular(1.0)
 
@@ -107,13 +108,16 @@ def test_in_loop_spectrum_direct_evaluation():
 def test_in_loop_spectrum_bounded_below_by_optimum():
     rng = np.random.default_rng(5)
     w = np.logspace(-2, 2, 101)
-    for _ in range(100):
-        g = rng.uniform(-30.0, 0.99)
-        eps = rng.uniform(0.05, 1.0)
-        cfg = LoopConfig(g=g, eps=eps, eta=0.8, filter=RECT)
-        if not is_stable(cfg):
-            continue
-        assert np.all(in_loop_spectrum(cfg, w) >= 1.0 - eps - 1e-12)
+    draws = [(rng.uniform(-30.0, 0.99), rng.uniform(0.05, 1.0)) for _ in range(100)]
+    for filt in (RECT, LoopFilter.exponential(1.0), LoopFilter.single_pole(1.0)):
+        for g, eps in draws:
+            cfg = LoopConfig(g=g, eps=eps, eta=0.8, filter=filt)
+            if not is_stable(cfg):
+                continue
+            assert np.all(in_loop_spectrum(cfg, w) >= 1.0 - eps - 1e-12)
+            # the analytic responses decay, so the photocurrent returns to
+            # shot noise far above the loop bandwidth
+            assert abs(homodyne_spectrum(cfg, 1e6 / filt.tau) - 1.0) < 1e-3
 
 
 def test_homodyne_spectrum_values_and_limits():
@@ -301,6 +305,20 @@ def test_discrete_crossing_agrees_with_recursion_poles():
 
 
 # -- Monte Carlo loop --------------------------------------------------------
+
+
+@pytest.mark.parametrize("nperseg", [None, 1, 2, 3, 256, 333, 4096, 9999, 20000])
+@pytest.mark.parametrize("size", [10000, 9999])
+def test_welch_spectrum_matches_two_sided_route(size, nperseg):
+    # the halved one-sided estimate equals scipy's two-sided one on w > 0;
+    # 9999 and 20000 are clamped to the record length, even or odd
+    rec = simulate_classical_loop(fig2_loop(), dt=0.02, duration=200.0, seed=17)
+    x = rec.x_in[:size]
+    omega, psd = welch_spectrum(x, rec.dt, nperseg=nperseg)
+    omega_ref, psd_ref = two_sided_welch(x, rec.dt, nperseg=nperseg)
+    assert np.array_equal(omega, omega_ref)
+    np.testing.assert_allclose(psd, psd_ref, rtol=1e-13, atol=0.0)
+    assert omega.size == (min(nperseg or 128, size) - 1) // 2
 
 
 def test_simulated_white_noise_is_flat():

@@ -198,6 +198,17 @@ def test_ensemble_bitwise_deterministic():
     assert np.array_equal(a.records, b.records)
 
 
+@pytest.mark.parametrize("n", [2, 7, 300, 2 * MIN_SLICE + 37])
+def test_ensemble_reduction_is_the_explicit_row_sum(n):
+    # 2 * MIN_SLICE + 37 runs as forked slices on two or more CPUs
+    res = run_ensemble(make_config(duration=0.2, n_traj=n, seed=21))
+    records = res.records
+    mean = records.sum(axis=0) / n
+    stderr = np.sqrt(np.square(records - mean).sum(axis=0) / (n - 1) / n)
+    assert res.mean.tobytes() == mean.tobytes()
+    assert res.stderr.tobytes() == stderr.tobytes()
+
+
 def test_ensemble_member_equals_single_run():
     cfg = make_config(
         loop=LoopConfig(g=-3.0, eps=0.9, eta=0.8, filter=LoopFilter.single_pole(1e-2)),
