@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ParameterError
 
@@ -206,5 +205,7 @@ def _choi_matrix(propagator) -> np.ndarray:
 def smallest_choi_eigenvalue(drift, constant, t: float) -> float:
     """Minimum Choi eigenvalue of exp(generator * t); nonnegative (within
     rounding) iff the map is completely positive."""
+    from scipy.linalg import expm
+
     p = expm(_generator(drift, constant) * float(t))
     return float(np.min(np.linalg.eigvalsh(_choi_matrix(p))))

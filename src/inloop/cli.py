@@ -27,6 +27,7 @@ from .feedback import build_generator, rates
 from .loop import (
     LoopConfig,
     LoopFilter,
+    check_nperseg,
     homodyne_spectrum,
     in_loop_spectrum,
     lambda_from_gain,
@@ -116,8 +117,8 @@ def _read_run_config(args, keys, command: str) -> tuple[dict, LoopConfig]:
         run["seed"] = args.seed
     if run["seed"] is None:
         raise ConfigError("stochastic run needs a seed (--seed or config key)")
-    if run["nperseg"] is not None and run["nperseg"] < 1:
-        raise ParameterError(f"nperseg must be at least 1, got {run['nperseg']}")
+    if run["nperseg"] is not None:
+        check_nperseg(run["nperseg"])
     filt = _filter_from(run["filter"], run["tau"], run["time_constant"])
     loop = LoopConfig(g=run["g"], eps=run["eps"], eta=run["eta"], filter=filt)
     return {k: v for k, v in run.items() if v is not None}, loop
@@ -295,6 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"inloop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--outdir", help="output directory (default $INLOOP_OUTDIR or .)")
+    runs = argparse.ArgumentParser(add_help=False, parents=[writes])
+    runs.add_argument("--config", required=True, help="key = value or JSON config file")
+    runs.add_argument("--seed", type=int, help="seed (mandatory here or in the config)")
 
     p = sub.add_parser("rates", help="decay-rate report for one or both models (JSON)")
     p.add_argument("--eta", type=float, required=True, help="mode matching in [0, 1]")
@@ -305,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json-out", help="write the report to a file instead of stdout")
     p.set_defaults(func=cmd_rates)
 
-    p = sub.add_parser("loop-spectrum", help="analytic in-loop or photocurrent spectrum (CSV)")
+    p = sub.add_parser("loop-spectrum", parents=[writes],
+                       help="analytic in-loop or photocurrent spectrum (CSV)")
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--g", type=float, required=True)
@@ -318,16 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-max", type=float, required=True)
     p.add_argument("--points", type=int, default=1001)
     p.add_argument("--out", default="loop_spectrum.csv")
-    p.add_argument("--outdir", help="output directory (default $INLOOP_OUTDIR or .)")
     p.set_defaults(func=cmd_loop_spectrum)
 
-    p = sub.add_parser("loop-sim", help="Monte Carlo loop simulation (CSV + manifest)")
-    p.add_argument("--config", required=True, help="key = value or JSON config file")
-    p.add_argument("--seed", type=int, help="seed (mandatory here or in the config)")
-    p.add_argument("--outdir", help="output directory (default $INLOOP_OUTDIR or .)")
+    p = sub.add_parser("loop-sim", parents=[runs],
+                       help="Monte Carlo loop simulation (CSV + manifest)")
     p.set_defaults(func=cmd_loop_sim)
 
-    p = sub.add_parser("spectrum", help="fluorescence power spectrum of one model (CSV)")
+    p = sub.add_parser("spectrum", parents=[writes],
+                       help="fluorescence power spectrum of one model (CSV)")
     p.add_argument("--model", choices=["feedback", "free"], required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--eps", type=float)
@@ -341,20 +346,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-max", type=float, default=3.0)
     p.add_argument("--points", type=int, default=1201)
     p.add_argument("--out", default="spectrum.csv")
-    p.add_argument("--outdir", help="output directory (default $INLOOP_OUTDIR or .)")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("fig2", help="paired in-loop / free-squeezing spectra comparison (CSV)")
+    p = sub.add_parser("fig2", parents=[writes],
+                       help="paired in-loop / free-squeezing spectra comparison (CSV)")
     p.add_argument("--eta", type=float, default=0.8)
     p.add_argument("--eps", type=float, default=0.95)
     p.add_argument("--out", default="fig2.csv")
-    p.add_argument("--outdir", help="output directory (default $INLOOP_OUTDIR or .)")
     p.set_defaults(func=cmd_fig2)
 
-    p = sub.add_parser("trajectories", help="conditioned-trajectory ensemble (CSV + manifest)")
-    p.add_argument("--config", required=True, help="key = value or JSON config file")
-    p.add_argument("--seed", type=int, help="seed (mandatory here or in the config)")
-    p.add_argument("--outdir", help="output directory (default $INLOOP_OUTDIR or .)")
+    p = sub.add_parser("trajectories", parents=[runs],
+                       help="conditioned-trajectory ensemble (CSV + manifest)")
     p.set_defaults(func=cmd_trajectories)
 
     return parser

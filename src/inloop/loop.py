@@ -41,11 +41,12 @@ import numpy as np
 
 from .errors import InstabilityError, ParameterError
 
-# Frequency grid for stability scans: log spaced over [1e-3, 1e3] / tau.
-STABILITY_GRID_POINTS = 4096
-STABILITY_GRID_DECADES = (-3.0, 3.0)
+# Stability-scan frequencies in units of 1/tau, log spaced over [1e-3, 1e3].
+UNIT_STABILITY_GRID = np.logspace(-3.0, 3.0, 4096)
 # FFT length for the real-axis crossings of the discretized loop response.
 CROSSING_GRID_POINTS = 1 << 16
+# Shortest Welch segment that leaves a frequency bin between zero and Nyquist.
+MIN_NPERSEG = 3
 
 
 @dataclass(frozen=True)
@@ -115,21 +116,30 @@ class LoopFilter:
         elif self.kind == "single_pole":
             h = np.where(s >= 0.0, np.exp(-np.maximum(s, 0.0) / self.tau) / self.tau, 0.0)
         else:
-            grid = np.linspace(0.0, self.tau, len(self.samples))
-            vals = np.asarray(self.samples, dtype=float)
-            vals = vals / np.trapezoid(vals, grid)
+            grid, vals = self._normalized_samples()
             h = np.where(
                 (s >= 0.0) & (s <= self.tau), np.interp(s, grid, vals), 0.0
             )
         return h
 
+    def _normalized_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """Grid and values of a sampled filter, scaled to unit trapezoid area."""
+        grid = np.linspace(0.0, self.tau, len(self.samples))
+        vals = np.asarray(self.samples, dtype=float)
+        return grid, vals / np.trapezoid(vals, grid)
+
     def transfer(self, omega) -> np.ndarray:
         """Filter response h~(w) = int h(s) exp(i w s) ds.
 
-        Closed forms for the analytic kinds.  Sampled filters use the
-        trapezoid rule over their N samples, so unlike that of `density`
-        their response is periodic in w, with period 2 pi (N - 1) / tau, and
-        does not decay.  h~(0) = 1 exactly and |h~| <= 1 for h >= 0.
+        Closed forms for every kind.  A sampled filter's is the exact
+        transform of its piecewise-linear `density`: with sample spacing
+        d = tau / (N - 1), theta = w d and normalized samples v_k,
+
+            h~ = d [W sum_k v_k e^{ik theta} + a v_0 + conj(a) v_{N-1} e^{i(N-1) theta}]
+            W  = sinc^2(theta/2),    a = -W/2 + i (theta - sin theta) / theta^2,
+
+        which decays like 1/w (1/w^2 if both end samples vanish).  h~(0) = 1
+        and |h~| <= 1 for h >= 0.
         """
         w = np.asarray(omega, dtype=float)
         if self.kind == "rectangular":
@@ -144,11 +154,19 @@ class LoopFilter:
         elif self.kind == "single_pole":
             out = 1.0 / (1.0 - 1j * w * self.tau)
         else:
-            grid = np.linspace(0.0, self.tau, len(self.samples))
-            vals = np.asarray(self.samples, dtype=float)
-            vals = vals / np.trapezoid(vals, grid)
-            phases = np.exp(1j * np.multiply.outer(w, grid))
-            out = np.trapezoid(vals * phases, grid, axis=-1)
+            _, vals = self._normalized_samples()
+            d = self.tau / (vals.size - 1)
+            theta = w * d
+            sinc2 = np.sinc(theta / (2.0 * np.pi)) ** 2
+            # (theta - sin theta) / theta^2 by its series where it cancels.
+            small = np.abs(theta) < 1e-2
+            safe = np.where(small, 1.0, theta)
+            odd = np.where(small, theta / 6.0 - theta**3 / 120.0, (safe - np.sin(safe)) / safe**2)
+            a = -0.5 * sinc2 + 1j * odd
+            # Horner's rule for sum_k v_k e^{ik theta}: O(w) memory at any N.
+            inner = np.polyval(vals[::-1], np.exp(1j * theta))
+            last = np.exp(1j * (vals.size - 1) * theta)
+            out = d * (sinc2 * inner + a * vals[0] + np.conj(a) * vals[-1] * last)
         return out
 
     # -- discrete description ---------------------------------------------
@@ -202,11 +220,6 @@ class LoopConfig:
             raise ParameterError(f"mode matching eta must be in [0, 1], got {self.eta}")
 
 
-def _stability_grid(filt: LoopFilter) -> np.ndarray:
-    lo, hi = STABILITY_GRID_DECADES
-    return np.logspace(lo, hi, STABILITY_GRID_POINTS) / filt.tau
-
-
 def _real_axis_max(resp: np.ndarray, on_axis: np.ndarray) -> float:
     """Largest real part of a sampled response at the points `on_axis`
     marks as lying on the real axis and at its crossings between samples,
@@ -224,7 +237,7 @@ def ray_crossing_excess(cfg: LoopConfig) -> float:
     crosses (or touches) the real axis; >= 1 signals an encirclement of
     the critical point, i.e. instability.  The zero-frequency value g is
     always a real-axis point."""
-    resp = cfg.g * cfg.filter.transfer(_stability_grid(cfg.filter))
+    resp = cfg.g * cfg.filter.transfer(UNIT_STABILITY_GRID / cfg.filter.tau)
     touches = np.abs(resp.imag) < 1e-14 * np.maximum(np.abs(resp.real), 1.0)
     return max(cfg.g, _real_axis_max(resp, touches))
 
@@ -369,15 +382,20 @@ def discrete_crossing_excess(weights: np.ndarray, g: float) -> float:
     return _real_axis_max(resp, resp.imag == 0.0)
 
 
-def assert_discrete_stable(filt: LoopFilter, g: float, dt: float) -> None:
-    excess = discrete_crossing_excess(filt.discretize(dt), g)
+def assert_discrete_stable(filt: LoopFilter, g: float, dt: float) -> np.ndarray:
+    """Discretize `filt` at step dt, check the loop recursion at gain g by
+    `discrete_crossing_excess`, and return the checked weights, which are
+    the ones a simulation at this step runs on."""
+    w = filt.discretize(dt)
+    excess = discrete_crossing_excess(w, g)
     if excess >= 1.0:
         raise InstabilityError(
             f"discretized loop unstable at dt = {dt:.3g}: open-loop response "
             f"crosses the real axis at {excess:.3g} >= 1 "
-            f"({filt.kind} filter, {filt.discretize(dt).size} taps, g = {g}); "
+            f"({filt.kind} filter, {w.size} taps, g = {g}); "
             "decrease dt or use a smoother filter"
         )
+    return w
 
 
 def simulate_classical_loop(
@@ -393,6 +411,8 @@ def simulate_classical_loop(
     is solved as a linear recursive filter.  Welch estimates of the X and I
     records converge to S_in and S_hom respectively.
     """
+    if seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
     assert_stable(cfg)
     span = cfg.filter.support_duration()
     if dt > span / 10.0:
@@ -400,10 +420,9 @@ def simulate_classical_loop(
     n = int(round(duration / dt))
     if n < 10:
         raise ParameterError("duration too short for the requested dt")
-    assert_discrete_stable(cfg.filter, cfg.g, dt)
+    w = assert_discrete_stable(cfg.filter, cfg.g, dt)
     from scipy import signal
 
-    w = cfg.filter.discretize(dt)
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(dt)
     xi_nu = rng.standard_normal(n) * scale
@@ -426,7 +445,10 @@ def welch_spectrum(
     The result is half of scipy's one-sided estimate with the zero-frequency
     and Nyquist bins dropped, which for real input is the two-sided density
     at w > 0.  Hann window, 50% overlap; the default segment length is the
-    largest power of two giving at least `min_segments` segments.  No
+    largest power of two giving at least `min_segments` segments.  The
+    segment length is clamped to the record length and must then be at
+    least MIN_NPERSEG = 3, the shortest that leaves a bin between zero and
+    Nyquist, so a shorter segment or record raises ParameterError.  No
     detrending: the records analyzed here are zero mean by construction,
     and per-segment mean removal would notch the lowest frequency bins.
     """
@@ -436,9 +458,7 @@ def welch_spectrum(
     if nperseg is None:
         target = max(2 * x.size // (min_segments + 1), 64)
         nperseg = 1 << int(np.log2(target))
-    elif nperseg < 1:
-        raise ParameterError(f"nperseg must be at least 1, got {nperseg}")
-    nperseg = int(min(nperseg, x.size))
+    nperseg = check_nperseg(int(min(nperseg, x.size)))
     freqs, psd = signal.welch(
         x,
         fs=1.0 / dt,
@@ -450,6 +470,13 @@ def welch_spectrum(
     )
     keep = slice(1, (nperseg + 1) // 2)
     return 2.0 * np.pi * freqs[keep], 0.5 * psd[keep]
+
+
+def check_nperseg(nperseg: int) -> int:
+    """Return a Welch segment length, or raise if it is below MIN_NPERSEG."""
+    if nperseg < MIN_NPERSEG:
+        raise ParameterError(f"nperseg must be at least {MIN_NPERSEG}, got {nperseg}")
+    return nperseg
 
 
 def band_average(omega: np.ndarray, values: np.ndarray, lo: float, hi: float) -> float:

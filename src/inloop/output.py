@@ -17,23 +17,15 @@ import numpy as np
 from .errors import ConfigError
 
 
-def format_value(v: float) -> str:
-    return f"{v:.12e}"
-
-
 def write_csv(path, columns: dict, comments: list[str] | None = None) -> None:
     """Write named columns (equal-length 1-D arrays) as CSV with optional
     leading # comment lines."""
-    cols = {k: np.asarray(v) for k, v in columns.items()}
-    lengths = {v.size for v in cols.values()}
-    if len(lengths) != 1:
+    cols = [np.asarray(v) for v in columns.values()]
+    if len({c.size for c in cols}) != 1:
         raise ConfigError("CSV columns must have equal lengths")
-    lines = [f"# {c}" for c in (comments or [])]
-    lines.append(",".join(cols.keys()))
-    data = list(cols.values())
-    for i in range(data[0].size):
-        lines.append(",".join(format_value(float(col[i])) for col in data))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = "\n".join([f"# {c}" for c in comments or []] + [",".join(columns)])
+    np.savetxt(path, np.column_stack(cols), fmt="%.12e", delimiter=",", header=header,
+               comments="", encoding="utf-8")
 
 
 def write_manifest(path, command: str, config: dict, outputs: list[str]) -> None:

@@ -143,6 +143,8 @@ class TrajectoryConfig:
             raise ParameterError(f"dt = {self.dt} must be at most 1e-2 lifetimes")
         if self.n_traj < 1:
             raise ParameterError("need at least one trajectory")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed}")
         if not 0.0 < self.phi_guard < np.inf:
             raise ParameterError(f"phi_guard must be positive and finite, got {self.phi_guard}")
         self.initial_state.validate()
@@ -463,8 +465,7 @@ def _plan(cfg: TrajectoryConfig) -> _Plan:
     if n_steps < 1:
         raise ParameterError("duration shorter than one step")
     mask = _record_mask(n_steps, cfg.stride())
-    weights = cfg.loop.filter.discretize(cfg.dt)
-    assert_discrete_stable(cfg.loop.filter, cfg.loop.g, cfg.dt)
+    weights = assert_discrete_stable(cfg.loop.filter, cfg.loop.g, cfg.dt)
     return _Plan(cfg, n_steps, mask, weights, *_filter_mode(weights))
 
 

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from inloop.feedback import build_generator
+from inloop.cli import build_parser
 from inloop.loop import lambda_from_gain
+from inloop.output import write_csv
 from inloop.spectra import analytic_power_spectrum, numerical_power_spectrum
 from inloop.squeezed_bath import build_squeezed_generator
 
@@ -271,7 +273,7 @@ def test_trajectories_unstable_config_no_partial_output(tmp_path):
     assert not (out / "means.csv").exists()
 
 
-@pytest.mark.parametrize("nperseg", [0, -8])
+@pytest.mark.parametrize("nperseg", [0, -8, 2])
 @pytest.mark.parametrize(
     "command, config",
     [
@@ -286,8 +288,23 @@ def test_nonpositive_nperseg_is_domain_error_without_output(tmp_path, command, c
     out = tmp_path / "out"
     r = run_cli(command, "--config", "run.cfg", "--seed", "9", "--outdir", str(out), cwd=tmp_path)
     assert r.returncode == 4
-    assert f"parameter error: nperseg must be at least 1, got {nperseg}" in r.stderr
+    assert f"parameter error: nperseg must be at least 3, got {nperseg}" in r.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, seed",
+    [("loop-sim", LOOP_CONFIG, "-5"), ("trajectories", TRAJ_CONFIG, "-1")],
+    ids=["loop-sim", "trajectories"],
+)
+def test_negative_seed_is_domain_error_without_output(tmp_path, command, config, seed):
+    (tmp_path / "run.cfg").write_text(config)
+    out = tmp_path / "out"
+    r = run_cli(command, "--config", "run.cfg", "--seed", seed, "--outdir", str(out), cwd=tmp_path)
+    assert r.returncode == 4
+    assert f"parameter error: seed must be a non-negative integer, got {seed}" in r.stderr
+    assert not out.exists()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_missing_config_file(tmp_path):
@@ -399,6 +416,18 @@ def test_numerical_spectrum_leaves_scipy_signal_unloaded():
     assert r.stdout.strip() == "False"
 
 
+def test_import_leaves_scipy_unloaded():
+    # scipy.linalg is imported by the Choi check that needs it, so a plain
+    # import loads no part of scipy
+    code = "import sys, inloop; print('scipy' in sys.modules)"
+    r = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
 def test_import_leaves_process_pool_modules_unloaded():
     # only wide ensembles, which run on forked workers, import the pool
     code = (
@@ -411,3 +440,34 @@ def test_import_leaves_process_pool_modules_unloaded():
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_shared_options_reach_every_subcommand():
+    parser = build_parser()
+    for argv in (
+        ["loop-spectrum", "--eta", "0.8", "--eps", "0.95", "--g", "-19", "--tau", "1",
+         "--omega-max", "3"],
+        ["spectrum", "--model", "free", "--eta", "0.8"],
+        ["fig2"],
+    ):
+        assert parser.parse_args([*argv, "--outdir", "d"]).outdir == "d"
+    for command in ("loop-sim", "trajectories"):
+        args = parser.parse_args([command, "--outdir", "d", "--config", "c.cfg", "--seed", "3"])
+        assert (args.outdir, args.config, args.seed) == ("d", "c.cfg", 3)
+
+
+def test_write_csv_cells_are_13_digit_exponent_notation(tmp_path):
+    columns = {
+        "special": [np.nan, np.inf, -np.inf, -0.0, 0.0],
+        "subnormal": [5e-324, -1e-310, 2.2e-308 / 3, 1.0, -2.5],
+        "int": np.array([1, -2, 3, 2**40, 0]),
+    }
+    write_csv(tmp_path / "a.csv", columns, comments=["first", "second = 2"])
+    rows = [",".join(f"{float(v):.12e}" for v in row) for row in zip(*columns.values())]
+    expected = "\n".join(["# first", "# second = 2", "special,subnormal,int", *rows]) + "\n"
+    assert (tmp_path / "a.csv").read_text() == expected
+    assert "nan,4.940656458412e-324" in expected and "-0.000000000000e+00" in expected
+    write_csv(tmp_path / "b.csv", {"x": [0.25]})
+    assert (tmp_path / "b.csv").read_text() == "x\n2.500000000000e-01\n"
+    write_csv(tmp_path / "c.csv", {"x": np.array([]), "y": np.array([])}, comments=["empty"])
+    assert (tmp_path / "c.csv").read_text() == "# empty\nx,y\n"

@@ -1,6 +1,8 @@
 """Classical loop: transfer functions, spectra, gain conversions, stability,
 and the Monte Carlo loop against the analytic spectra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from inloop.loop import (
 from oracles import two_sided_welch
 
 RECT = LoopFilter.rectangular(1.0)
+EXP7 = LoopFilter.from_samples(1.0, np.exp(-np.linspace(0.0, 1.0, 7) / 0.25))
 
 
 def fig2_loop(g=-19.0):
@@ -57,8 +60,50 @@ def test_rectangular_transfer_zero_and_closed_form():
 
 
 def test_transfer_decays_at_high_frequency():
-    for f in [RECT, LoopFilter.exponential(1.0), LoopFilter.single_pole(1.0)]:
+    for f in [RECT, LoopFilter.exponential(1.0), LoopFilter.single_pole(1.0), EXP7]:
         assert abs(f.transfer(1e4)) < 0.01
+
+
+@pytest.mark.parametrize(
+    "filt",
+    [
+        EXP7,
+        LoopFilter.from_samples(2.0, np.linspace(1.0, 0.2, 33)),
+        LoopFilter.from_samples(0.5, [0.0, 3.0, 1.0, 2.0]),
+    ],
+    ids=["exp7", "ramp33", "uneven4"],
+)
+def test_sampled_transfer_is_transform_of_density(filt):
+    # dense quadrature of the piecewise-linear density, from below the
+    # series switch at theta = 1e-2 to far above the sample rate
+    s = np.linspace(0.0, filt.tau, 400001)
+    h = filt.density(s)
+    for wt in (-300.0, -5.0, 1e-4, 3e-3, 0.5, 5.0, 40.0, 97.0, 1000.0):
+        w = wt / filt.tau
+        quad = np.trapezoid(h * np.exp(1j * w * s), s)
+        assert abs(filt.transfer(w) - quad) < 1e-8, wt
+    assert abs(filt.transfer(0.0) - 1.0) < 1e-12
+    assert np.abs(filt.transfer(np.array([1e-12, -1e-9])) - 1.0).max() < 1e-8
+
+
+def test_sampled_transfer_memory_does_not_grow_with_sample_count():
+    # no (frequencies x samples) phase matrix: 2,000 samples at 4,096
+    # frequencies would take 131 MB for it alone
+    filt = LoopFilter.from_samples(1.0, np.random.default_rng(3).random(2000))
+    w = np.linspace(0.0, 1e3, 4096)
+    tracemalloc.start()
+    try:
+        filt.transfer(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * w.nbytes
+
+
+def test_sampled_transfer_values():
+    # |h~| of the 7-sample exponential at w tau = 5, 40 and 1000
+    mags = np.abs(EXP7.transfer(np.array([5.0, 40.0, 1000.0])))
+    np.testing.assert_allclose(mags, [0.6334, 0.09525, 0.003891], rtol=1e-3)
 
 
 def test_filter_density_normalized():
@@ -307,7 +352,7 @@ def test_discrete_crossing_agrees_with_recursion_poles():
 # -- Monte Carlo loop --------------------------------------------------------
 
 
-@pytest.mark.parametrize("nperseg", [None, 1, 2, 3, 256, 333, 4096, 9999, 20000])
+@pytest.mark.parametrize("nperseg", [None, 3, 256, 333, 4096, 9999, 20000])
 @pytest.mark.parametrize("size", [10000, 9999])
 def test_welch_spectrum_matches_two_sided_route(size, nperseg):
     # the halved one-sided estimate equals scipy's two-sided one on w > 0;
@@ -319,6 +364,21 @@ def test_welch_spectrum_matches_two_sided_route(size, nperseg):
     assert np.array_equal(omega, omega_ref)
     np.testing.assert_allclose(psd, psd_ref, rtol=1e-13, atol=0.0)
     assert omega.size == (min(nperseg or 128, size) - 1) // 2
+
+
+@pytest.mark.parametrize(
+    "nperseg, size, clamped",
+    [
+        (1, 10000, 1), (2, 10000, 2), (1, 9999, 1), (2, 9999, 2),
+        (0, 100, 0), (-8, 100, -8), (None, 2, 2), (64, 2, 2),
+    ],
+)
+def test_welch_spectrum_rejects_segments_without_interior_bin(nperseg, size, clamped):
+    # segments of 1 or 2 samples, also after the clamp to a short record,
+    # leave no bin between zero and Nyquist
+    x = np.random.default_rng(0).standard_normal(size)
+    with pytest.raises(ParameterError, match=f"nperseg must be at least 3, got {clamped}$"):
+        welch_spectrum(x, 0.01, nperseg=nperseg)
 
 
 def test_simulated_white_noise_is_flat():
@@ -390,6 +450,26 @@ def test_simulate_rejects_loop_unstable_only_once_discretized():
     assert is_stable(cfg)
     with pytest.raises(InstabilityError, match="discretized loop"):
         simulate_classical_loop(cfg, dt=1e-4, duration=1.0, seed=1)
+
+
+def test_simulate_rejects_negative_seed():
+    with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -5"):
+        simulate_classical_loop(fig2_loop(), dt=0.02, duration=50.0, seed=-5)
+
+
+@pytest.mark.parametrize("filt", [RECT, EXP7], ids=["rectangular", "sampled"])
+def test_simulation_discretizes_once(filt, monkeypatch):
+    # the weights assert_discrete_stable checks are the ones simulated
+    calls = []
+    discretize = LoopFilter.discretize
+    monkeypatch.setattr(
+        LoopFilter, "discretize", lambda f, dt: calls.append(dt) or discretize(f, dt)
+    )
+    cfg = LoopConfig(g=-3.0, eps=0.9, eta=0.8, filter=filt)
+    assert np.array_equal(assert_discrete_stable(filt, -3.0, 0.02), discretize(filt, 0.02))
+    calls.clear()
+    simulate_classical_loop(cfg, dt=0.02, duration=50.0, seed=13)
+    assert calls == [0.02]
 
 
 def test_loop_record_reproducible():

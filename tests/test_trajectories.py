@@ -157,6 +157,8 @@ def test_config_validation():
         make_config(n_traj=0).validate()
     with pytest.raises(ParameterError):
         make_config(initial_state=AtomState(1.0, 1.0, 1.0)).validate()
+    with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -1"):
+        make_config(seed=-1).validate()
 
 
 @pytest.mark.parametrize("guard", [0.0, -1.0, np.inf, np.nan])
@@ -189,6 +191,18 @@ def test_phi_guard_aborts():
     )
     with pytest.raises(InstabilityError):
         run_ensemble(cfg)
+
+
+@pytest.mark.parametrize("n", [1, 7, 600])
+def test_run_discretizes_once(n, monkeypatch):
+    # the weights assert_discrete_stable checks are the ones the engine runs
+    calls = []
+    discretize = LoopFilter.discretize
+    monkeypatch.setattr(
+        LoopFilter, "discretize", lambda f, dt: calls.append(dt) or discretize(f, dt)
+    )
+    run_ensemble(make_config(n_traj=n, duration=0.02))
+    assert calls == [1e-3]
 
 
 def test_ensemble_bitwise_deterministic():
