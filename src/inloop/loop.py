@@ -47,6 +47,9 @@ UNIT_STABILITY_GRID = np.logspace(-3.0, 3.0, 4096)
 CROSSING_GRID_POINTS = 1 << 16
 # Shortest Welch segment that leaves a frequency bin between zero and Nyquist.
 MIN_NPERSEG = 3
+# Samples windowed and Fourier transformed per call in a Welch estimate: at
+# most one such block of segments is held at a time, whatever the ensemble.
+WELCH_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -442,34 +445,45 @@ def welch_spectrum(
     """Welch estimate of the two-sided spectral density on the positive
     angular-frequency axis, normalized so unit white noise is flat at 1.
 
-    The result is half of scipy's one-sided estimate with the zero-frequency
-    and Nyquist bins dropped, which for real input is the two-sided density
-    at w > 0.  Hann window, 50% overlap; the default segment length is the
-    largest power of two giving at least `min_segments` segments.  The
-    segment length is clamped to the record length and must then be at
-    least MIN_NPERSEG = 3, the shortest that leaves a bin between zero and
-    Nyquist, so a shorter segment or record raises ParameterError.  No
-    detrending: the records analyzed here are zero mean by construction,
-    and per-segment mean removal would notch the lowest frequency bins.
-    """
-    from scipy import signal
+    `samples` is one record or a (rows, N) array of records.  Each record is
+    cut into segments x_k of nperseg samples starting every
+    nperseg - nperseg // 2 samples (a shorter tail is dropped), windowed by
+    the periodic Hann w_k = 0.5 + 0.5 cos(2 pi k / nperseg - pi) and
+    transformed, X_j = sum_k w_k x_k exp(-2 pi i j k / nperseg).  The
+    estimate at w_j = 2 pi j / (nperseg dt), on the bins
+    j = 1 .. (nperseg + 1) // 2 - 1 strictly between zero and Nyquist, is
+    |X_j|^2 dt / sum_k w_k^2 averaged over every segment of every row
+    (Welch, IEEE Trans. Audio Electroacoust. 15, 70 (1967)).
 
-    x = np.asarray(samples, dtype=float)
+    The default segment length is the largest power of two giving at least
+    `min_segments` segments per record.  The segment length is clamped to
+    the record length and must then be at least MIN_NPERSEG = 3, the
+    shortest that leaves a bin between zero and Nyquist, so a shorter
+    segment or record raises ParameterError.  Segments are a strided view,
+    windowed and transformed WELCH_BLOCK samples (at least one segment) per
+    call, so memory stays within a few times 8 max(WELCH_BLOCK, nperseg)
+    bytes at any number of rows.  No detrending: the records analyzed here
+    are zero mean by construction, and per-segment mean removal would notch
+    the lowest frequency bins.
+    """
+    x = np.atleast_2d(np.asarray(samples, dtype=float))
     if nperseg is None:
-        target = max(2 * x.size // (min_segments + 1), 64)
+        target = max(2 * x.shape[-1] // (min_segments + 1), 64)
         nperseg = 1 << int(np.log2(target))
-    nperseg = check_nperseg(int(min(nperseg, x.size)))
-    freqs, psd = signal.welch(
-        x,
-        fs=1.0 / dt,
-        window="hann",
-        nperseg=nperseg,
-        noverlap=nperseg // 2,
-        detrend=False,
-        scaling="density",
-    )
+    nperseg = check_nperseg(int(min(nperseg, x.shape[-1])))
+    segs = np.lib.stride_tricks.sliding_window_view(x, nperseg, -1)[:, :: nperseg - nperseg // 2]
+    rows, count = segs.shape[:2]
+    per_call = max(WELCH_BLOCK // nperseg, 1)
+    rows_per_call = max(per_call // count, 1)
+    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
     keep = slice(1, (nperseg + 1) // 2)
-    return 2.0 * np.pi * freqs[keep], 0.5 * psd[keep]
+    acc = np.zeros(keep.stop - keep.start)
+    for r in range(0, rows, rows_per_call):
+        for s in range(0, count, per_call):
+            spec = np.fft.rfft(segs[r : r + rows_per_call, s : s + per_call] * window)[..., keep]
+            acc += (spec.real**2 + spec.imag**2).sum(axis=(0, 1))
+    omega = 2.0 * np.pi * np.fft.rfftfreq(nperseg, dt)[keep]
+    return omega, acc * (dt / (rows * count * (window @ window)))
 
 
 def check_nperseg(nperseg: int) -> int:

@@ -563,13 +563,9 @@ def fit_decay_rate(
 def ensemble_current_psd(
     result: EnsembleResult, nperseg: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Welch spectrum of the recorded current, averaged over trajectories."""
+    """Welch spectrum of the recorded current: `welch_spectrum` of the
+    (n_traj, n_steps) current array, averaged over every segment of every
+    trajectory, with at least 4 segments per trajectory by default."""
     if result.currents is None:
         raise ParameterError("run with record_current=True to estimate the current PSD")
-    dt = result.config.dt
-    acc = None
-    omega = None
-    for row in result.currents:
-        omega, psd = welch_spectrum(row, dt, nperseg=nperseg, min_segments=4)
-        acc = psd if acc is None else acc + psd
-    return omega, acc / result.currents.shape[0]
+    return welch_spectrum(result.currents, result.config.dt, nperseg=nperseg, min_segments=4)

@@ -239,20 +239,18 @@ def test_trajectories_rejects_infinite_phi_guard(tmp_path):
 
 
 def test_trajectories_golden_determinism(tmp_path):
-    (tmp_path / "traj.cfg").write_text(TRAJ_CONFIG)
+    (tmp_path / "traj.cfg").write_text(TRAJ_CONFIG + "record_current = true\n")
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     for out in (out1, out2):
         r = run_cli("trajectories", "--config", "traj.cfg", "--seed", "9",
                     "--outdir", str(out), cwd=tmp_path)
         assert r.returncode == 0, r.stderr
-    assert (out1 / "means.csv").read_bytes() == (out2 / "means.csv").read_bytes()
-    assert (out1 / "trajectories_manifest.json").read_bytes() == (
-        out2 / "trajectories_manifest.json"
-    ).read_bytes()
+    for name in ("means.csv", "current_psd.csv", "trajectories_manifest.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_trajectories_manifest_round_trip(tmp_path):
-    (tmp_path / "traj.cfg").write_text(TRAJ_CONFIG)
+    (tmp_path / "traj.cfg").write_text(TRAJ_CONFIG + "record_current = true\n")
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     r = run_cli("trajectories", "--config", "traj.cfg", "--seed", "9",
                 "--outdir", str(out1), cwd=tmp_path)
@@ -260,7 +258,8 @@ def test_trajectories_manifest_round_trip(tmp_path):
     r = run_cli("trajectories", "--config", str(out1 / "trajectories_manifest.json"),
                 "--outdir", str(out2), cwd=tmp_path)
     assert r.returncode == 0, r.stderr
-    assert (out1 / "means.csv").read_bytes() == (out2 / "means.csv").read_bytes()
+    for name in ("means.csv", "current_psd.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_trajectories_unstable_config_no_partial_output(tmp_path):
@@ -398,22 +397,32 @@ def test_import_leaves_scipy_signal_and_optimize_unloaded():
     assert r.stdout.strip() == "[]"
 
 
-def test_numerical_spectrum_leaves_scipy_signal_unloaded():
-    # the transform is summed in closed form per drift eigenmode, so a call
-    # needs no signal-processing routine
-    code = (
+@pytest.mark.parametrize(
+    "code",
+    [
+        # the transform is summed in closed form per drift eigenmode
         "import sys, numpy as np; "
         "from inloop import build_squeezed_generator, numerical_power_spectrum; "
         "numerical_power_spectrum(build_squeezed_generator(0.8, 0.05), 0.8, "
         "np.linspace(-3, 3, 61), 200.0, 1e-3); "
-        "print('scipy.signal' in sys.modules)"
-    )
+        "print('scipy.signal' in sys.modules)",
+        # the ensemble current spectrum is a numpy Welch estimate
+        "import sys; from inloop.cli import main; "
+        "assert main(['trajectories', '--config', 'traj.cfg', '--seed', '9', "
+        "'--outdir', 'out']) == 0; "
+        "print('scipy.signal' in sys.modules)",
+    ],
+    ids=["numerical-spectrum", "trajectories-current-psd"],
+)
+def test_numerical_spectrum_leaves_scipy_signal_unloaded(tmp_path, code):
+    # neither spectrum needs a signal-processing routine from scipy
+    (tmp_path / "traj.cfg").write_text(TRAJ_CONFIG + "record_current = true\n")
     r = subprocess.run(
         [sys.executable, "-c", code],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path,
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
+    assert r.stdout.splitlines()[-1] == "False"
 
 
 def test_import_leaves_scipy_unloaded():

@@ -355,7 +355,7 @@ def test_discrete_crossing_agrees_with_recursion_poles():
 @pytest.mark.parametrize("nperseg", [None, 3, 256, 333, 4096, 9999, 20000])
 @pytest.mark.parametrize("size", [10000, 9999])
 def test_welch_spectrum_matches_two_sided_route(size, nperseg):
-    # the halved one-sided estimate equals scipy's two-sided one on w > 0;
+    # the numpy estimate equals scipy's two-sided one on w > 0;
     # 9999 and 20000 are clamped to the record length, even or odd
     rec = simulate_classical_loop(fig2_loop(), dt=0.02, duration=200.0, seed=17)
     x = rec.x_in[:size]
@@ -379,6 +379,21 @@ def test_welch_spectrum_rejects_segments_without_interior_bin(nperseg, size, cla
     x = np.random.default_rng(0).standard_normal(size)
     with pytest.raises(ParameterError, match=f"nperseg must be at least 3, got {clamped}$"):
         welch_spectrum(x, 0.01, nperseg=nperseg)
+
+
+@pytest.mark.parametrize("rows", [100, 1000])
+def test_welch_spectrum_memory_does_not_grow_with_rows(rows):
+    # segments are a strided view, transformed one bounded block at a time;
+    # a copy of all 6 segments of 8192 samples per row would take 39 MB at
+    # 100 rows.  The broadcast input itself holds one row.
+    x = np.broadcast_to(np.random.default_rng(5).standard_normal(30000), (rows, 30000))
+    tracemalloc.start()
+    try:
+        welch_spectrum(x, 1e-4, nperseg=8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_simulated_white_noise_is_flat():

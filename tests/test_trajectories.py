@@ -19,7 +19,7 @@ import pytest
 from inloop.bloch import AtomState
 from inloop.errors import InstabilityError, ParameterError, StepSizeError
 from inloop.feedback import build_generator, propagate
-from inloop.loop import LoopConfig, LoopFilter, discrete_loop_transfer
+from inloop.loop import LoopConfig, LoopFilter, discrete_loop_transfer, simulate_classical_loop
 from inloop.trajectories import (
     _GUARD,
     _PURITY,
@@ -34,7 +34,7 @@ from inloop.trajectories import (
     fit_decay_rate,
     run_ensemble,
 )
-from oracles import feedback_drive, mean_current, step_conditioned
+from oracles import feedback_drive, mean_current, step_conditioned, two_sided_welch
 
 
 def make_config(**kw):
@@ -653,6 +653,27 @@ def test_tau_convergence_to_markovian_rate():
     assert rates[0] > rates[-1]
     # and the fastest loop sits at the Markovian value
     assert abs(rates[-1] - 0.12) < 0.012
+
+
+@pytest.mark.parametrize("nperseg", [None, 3, 333, 20000])
+@pytest.mark.parametrize("size", [10000, 9999])
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_ensemble_current_psd_is_row_mean_of_two_sided_route(rows, size, nperseg):
+    # one estimate over every segment of every row equals the mean of the
+    # rows' scipy estimates; 20000 is clamped to the record length.  The
+    # rows are stretches of the squeezed in-loop quadrature of
+    # test_welch_spectrum_matches_two_sided_route.
+    lc = LoopConfig(g=-19.0, eps=0.95, eta=0.8, filter=LoopFilter.rectangular(1.0))
+    x = simulate_classical_loop(lc, dt=0.02, duration=0.02 * rows * size, seed=17).x_in
+    cfg = make_config(n_traj=rows)
+    res = EnsembleResult(
+        times=np.zeros(1), mean=np.zeros((1, 3)), stderr=np.zeros((1, 3)), config=cfg,
+        n_steps=size, currents=x[: rows * size].reshape(rows, size),
+    )
+    omega, psd = ensemble_current_psd(res, nperseg=nperseg)
+    ref = [two_sided_welch(row, cfg.dt, nperseg=nperseg, min_segments=4) for row in res.currents]
+    assert np.array_equal(omega, ref[0][0])
+    np.testing.assert_allclose(psd, np.mean([p for _, p in ref], axis=0), rtol=1e-13, atol=0.0)
 
 
 def test_current_psd_matches_suppressed_shot_noise():
