@@ -4,11 +4,13 @@ The vectorized trajectory kernel in `inloop.trajectories` is checked against
 the one-state stepper `step_conditioned` with its drive `feedback_drive` and
 current `mean_current`; the Bloch-tangent superoperators below are checked
 against brute-force 2x2 matrix arithmetic, `reference_choi` builds the
-Choi matrix of a generator's channel from its matrix-unit definition, and
+Choi matrix of a generator's channel from its matrix-unit definition,
 `two_sided_welch` is the two-sided Welch route that `welch_spectrum` is
-checked against.  Conventions are those of `inloop.bloch`.  With r the
-Bloch vector of rho, A = a0 I + a . sigma_vec with complex a, and
-Hermitian H = h0 I + h . sigma_vec:
+checked against, and `lfilter_loop` runs the classical loop of
+`simulate_classical_loop` through scipy's sample-by-sample recursive
+filter.  Conventions are those of `inloop.bloch`.  With r the Bloch vector
+of rho, A = a0 I + a . sigma_vec with complex a, and Hermitian
+H = h0 I + h . sigma_vec:
 
 conditioning    H[A]rho = A rho + rho A+ - Tr[A rho + rho A+] rho
     tangent = 2 Re(a) - 2 Im(a) x r - (2 Re(a) . r) r
@@ -38,7 +40,7 @@ from inloop.bloch import (
     dissipator,
 )
 from inloop.errors import ParameterError, StepSizeError
-from inloop.loop import LoopFilter
+from inloop.loop import LoopConfig, LoopFilter
 from inloop.trajectories import PURITY_ABORT_CEILING, PURITY_ABORT_FACTOR
 
 
@@ -238,3 +240,21 @@ def two_sided_welch(samples, dt, nperseg=None, min_segments=100):
     freqs, psd = freqs[order], psd[order]
     keep = freqs > 0.0
     return 2.0 * np.pi * freqs[keep], psd[keep]
+
+
+def lfilter_loop(cfg: LoopConfig, dt: float, duration: float, seed: int):
+    """(x_in, current) of `inloop.loop.simulate_classical_loop` with the
+    loop recursion I_k = n_k + g sum_j w_j I_{k-j} run by
+    `scipy.signal.lfilter`: the same draws and arithmetic, the recursion
+    rounded sample by sample."""
+    from scipy import signal
+
+    w = cfg.filter.discretize(dt)
+    n = int(round(duration / dt))
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / np.sqrt(dt)
+    xi_nu = rng.standard_normal(n) * scale
+    xi_eps = rng.standard_normal(n) * scale
+    noise = np.sqrt(cfg.eps) * xi_nu + np.sqrt(1.0 - cfg.eps) * xi_eps
+    current = signal.lfilter([1.0], np.concatenate(([1.0], -cfg.g * w)), noise)
+    return xi_nu + (current - noise) / np.sqrt(cfg.eps), current

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from inloop.errors import InstabilityError
 from inloop.feedback import build_generator
-from inloop.cli import build_parser
-from inloop.loop import lambda_from_gain
+from inloop.cli import _filter_from, build_parser, main
+from inloop.loop import LoopConfig, assert_discrete_stable, assert_stable, lambda_from_gain
 from inloop.output import write_csv
 from inloop.spectra import analytic_power_spectrum, numerical_power_spectrum
 from inloop.squeezed_bath import build_squeezed_generator
@@ -371,6 +372,100 @@ def test_loop_sim_emit_records_round_trip(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+@pytest.mark.parametrize(
+    "config",
+    [LOOP_CONFIG, LOOP_CONFIG.replace("rectangular", "single_pole").replace("200", "205")],
+    ids=["rectangular", "single-pole"],
+)
+def test_loop_sim_does_not_depend_on_blas_threads(tmp_path, config):
+    # the records' SHA-256 and every output byte match between one BLAS
+    # thread and the default; the single pole has 1,151 taps at this dt, and
+    # its 10,250 samples end in a chunk of one block
+    (tmp_path / "loop.cfg").write_text(config + "emit_records = true\n")
+    code = (
+        "import hashlib, sys, inloop.cli as cli; simulate = cli.simulate_classical_loop\n"
+        "def traced(*args):\n"
+        "    rec = simulate(*args)\n"
+        "    print(hashlib.sha256(rec.x_in.tobytes() + rec.current.tobytes()).hexdigest())\n"
+        "    return rec\n"
+        "cli.simulate_classical_loop = traced\n"
+        "assert cli.main(['loop-sim', '--config', 'loop.cfg', '--seed', '5', "
+        "'--outdir', sys.argv[1]]) == 0\n"
+    )
+    default = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    runs = []
+    for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}),
+                          ("default", {})):
+        env = dict(default, PYTHONPATH=SRC, **threads)
+        r = subprocess.run([sys.executable, "-c", code, name], capture_output=True,
+                           text=True, env=env, cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        files = {f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())}
+        runs.append((r.stdout.splitlines()[0], files))
+    assert len(runs[0][1]) == 5
+    assert runs[0] == runs[1]
+
+
+def _random_run_config(command: str, rng: np.random.Generator) -> dict:
+    """A random config that `command` accepts: a loop that is stable, also
+    once discretized, and every optional key either drawn or left out."""
+    taus, steps = {
+        "loop-sim": ((0.5, 2.0), (64, 3000)), "trajectories": ((0.01, 0.1), (20, 300)),
+    }[command]
+    while True:
+        kind = str(rng.choice(["rectangular", "exponential", "single_pole"]))
+        tau = float(rng.uniform(*taus))
+        dt = tau / int(rng.integers(10, 41))
+        run = {"g": float(rng.uniform(-5.0, 0.5)), "eps": float(rng.uniform(0.3, 1.0)),
+               "eta": float(rng.uniform(0.0, 1.0)), "filter": kind, "tau": tau, "dt": dt}
+        if kind == "exponential" and rng.random() < 0.5:
+            run["time_constant"] = tau * float(rng.uniform(0.1, 1.0))
+        filt = _filter_from(kind, tau, run.get("time_constant"))
+        try:
+            assert_stable(LoopConfig(run["g"], run["eps"], run["eta"], filt))
+            assert_discrete_stable(filt, run["g"], dt)
+        except InstabilityError:
+            continue
+        break
+    n = int(rng.integers(*steps))
+    run["duration"] = n * dt
+    if rng.random() < 0.5:
+        run["nperseg"] = int(rng.integers(3, n + 1))
+    if command == "loop-sim":
+        run["emit_records"] = bool(rng.random() < 0.5)
+        return run
+    run["n_traj"] = int(rng.integers(1, 7))
+    r = rng.uniform(-1.0, 1.0, 3)
+    run["x0"], run["y0"], run["z0"] = (float(v) for v in r / max(1.0, np.linalg.norm(r)))
+    run["record_current"] = bool(rng.random() < 0.5)
+    if rng.random() < 0.5:
+        run["record_stride"] = int(rng.integers(1, 6))
+    if rng.random() < 0.5:
+        run["phi_guard"] = float(rng.uniform(1e3, 1e5))
+    return run
+
+
+@pytest.mark.parametrize("case", range(10))
+@pytest.mark.parametrize("command", ["loop-sim", "trajectories"])
+def test_manifest_round_trip_over_random_configs(tmp_path, command, case):
+    # feeding a run's manifest back as --config reproduces every output
+    # byte; the seed comes from the file or from --seed
+    rng = np.random.default_rng([20, case, command == "trajectories"])
+    run = _random_run_config(command, rng)
+    seed = ["--seed", str(rng.integers(0, 2**31))]
+    if rng.random() < 0.5:
+        run["seed"], seed = int(seed[1]), []
+    (tmp_path / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in run.items()))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main([command, "--config", str(tmp_path / "run.cfg"), *seed, "--outdir", str(out1)]) == 0
+    manifest = next(out1.glob("*_manifest.json"))
+    assert main([command, "--config", str(manifest), "--outdir", str(out2)]) == 0
+    names = sorted(f.name for f in out1.iterdir())
+    assert sorted(f.name for f in out2.iterdir()) == names
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 def test_means_csv_columns(tmp_path):
     (tmp_path / "traj.cfg").write_text(TRAJ_CONFIG)
     r = run_cli("trajectories", "--config", "traj.cfg", "--seed", "9",
@@ -411,12 +506,18 @@ def test_import_leaves_scipy_signal_and_optimize_unloaded():
         "assert main(['trajectories', '--config', 'traj.cfg', '--seed', '9', "
         "'--outdir', 'out']) == 0; "
         "print('scipy.signal' in sys.modules)",
+        # the loop recursion is a blocked numpy solve
+        "import sys; from inloop.cli import main; "
+        "assert main(['loop-sim', '--config', 'loop.cfg', '--seed', '5', "
+        "'--outdir', 'out']) == 0; "
+        "print('scipy.signal' in sys.modules)",
     ],
-    ids=["numerical-spectrum", "trajectories-current-psd"],
+    ids=["numerical-spectrum", "trajectories-current-psd", "loop-sim"],
 )
 def test_numerical_spectrum_leaves_scipy_signal_unloaded(tmp_path, code):
-    # neither spectrum needs a signal-processing routine from scipy
+    # no spectrum and no loop simulation needs a routine from scipy.signal
     (tmp_path / "traj.cfg").write_text(TRAJ_CONFIG + "record_current = true\n")
+    (tmp_path / "loop.cfg").write_text(LOOP_CONFIG)
     r = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path,

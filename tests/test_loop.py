@@ -26,10 +26,13 @@ from inloop.loop import (
     squeezing_from_lambda,
     welch_spectrum,
 )
-from oracles import two_sided_welch
+from oracles import lfilter_loop, two_sided_welch
 
 RECT = LoopFilter.rectangular(1.0)
 EXP7 = LoopFilter.from_samples(1.0, np.exp(-np.linspace(0.0, 1.0, 7) / 0.25))
+# samples concentrated at s = tau approximate a pure delay, which is
+# unstable for |g| > 1
+DELAY64 = LoopFilter.from_samples(1.0, np.r_[np.zeros(56), np.ones(8)])
 
 
 def fig2_loop(g=-19.0):
@@ -267,14 +270,9 @@ def test_positive_gain_above_unity_unstable():
 
 
 def test_delay_like_filter_unstable_at_strong_gain():
-    # samples concentrated at s = tau approximate a pure delay, which is
-    # unstable for |g| > 1
-    samples = np.zeros(64)
-    samples[-8:] = 1.0
-    filt = LoopFilter.from_samples(1.0, samples)
-    cfg = LoopConfig(g=-3.0, eps=0.9, eta=0.8, filter=filt)
+    cfg = LoopConfig(g=-3.0, eps=0.9, eta=0.8, filter=DELAY64)
     assert not is_stable(cfg)
-    assert is_stable(LoopConfig(g=-0.8, eps=0.9, eta=0.8, filter=filt))
+    assert is_stable(LoopConfig(g=-0.8, eps=0.9, eta=0.8, filter=DELAY64))
 
 
 def test_single_pole_stable_for_any_negative_gain():
@@ -356,11 +354,14 @@ def test_discrete_crossing_agrees_with_recursion_poles():
 @pytest.mark.parametrize("size", [10000, 9999])
 def test_welch_spectrum_matches_two_sided_route(size, nperseg):
     # the numpy estimate equals scipy's two-sided one on w > 0;
-    # 9999 and 20000 are clamped to the record length, even or odd
-    rec = simulate_classical_loop(fig2_loop(), dt=0.02, duration=200.0, seed=17)
-    x = rec.x_in[:size]
-    omega, psd = welch_spectrum(x, rec.dt, nperseg=nperseg)
-    omega_ref, psd_ref = two_sided_welch(x, rec.dt, nperseg=nperseg)
+    # 9999 and 20000 are clamped to the record length, even or odd.  The
+    # record is the lfilter route's: on the blocked solve's record, which
+    # differs in its last bits, the two estimates of the single-segment
+    # cases differ by 1.4e-13 at their most suppressed bin (PSD 1.3e-5),
+    # the float64 floor of either route.
+    x = lfilter_loop(fig2_loop(), dt=0.02, duration=200.0, seed=17)[0][:size]
+    omega, psd = welch_spectrum(x, 0.02, nperseg=nperseg)
+    omega_ref, psd_ref = two_sided_welch(x, 0.02, nperseg=nperseg)
     assert np.array_equal(omega, omega_ref)
     np.testing.assert_allclose(psd, psd_ref, rtol=1e-13, atol=0.0)
     assert omega.size == (min(nperseg or 128, size) - 1) // 2
@@ -449,9 +450,7 @@ def test_simulated_psd_matches_discrete_spectrum_across_bands():
 
 
 def test_simulate_rejects_unstable_and_coarse_dt():
-    samples = np.zeros(64)
-    samples[-8:] = 1.0
-    bad = LoopConfig(g=-3.0, eps=0.9, eta=0.8, filter=LoopFilter.from_samples(1.0, samples))
+    bad = LoopConfig(g=-3.0, eps=0.9, eta=0.8, filter=DELAY64)
     with pytest.raises(InstabilityError):
         simulate_classical_loop(bad, dt=0.01, duration=100.0, seed=1)
     with pytest.raises(ParameterError):
@@ -485,6 +484,47 @@ def test_simulation_discretizes_once(filt, monkeypatch):
     calls.clear()
     simulate_classical_loop(cfg, dt=0.02, duration=50.0, seed=13)
     assert calls == [0.02]
+
+
+@pytest.mark.parametrize("size", [200, 2048, 5001], ids=["below-block", "blocks", "ragged"])
+@pytest.mark.parametrize(
+    "filt, g",
+    [
+        (RECT, -19.0),
+        (LoopFilter.exponential(1.0), -19.0),
+        (LoopFilter.single_pole(1.0), -19.0),
+        (EXP7, -3.0),
+        (DELAY64, -0.8),
+        (RECT, 0.0),
+    ],
+    ids=["rectangular", "exponential", "single-pole", "exp7", "delay64", "open-loop"],
+)
+def test_simulation_matches_lfilter_oracle(filt, g, size):
+    # the blocked solve is the recursion exactly, up to rounding; at
+    # dt = 0.02 the single pole has 1,151 taps, more than a block holds
+    cfg = LoopConfig(g=g, eps=0.9, eta=0.8, filter=filt)
+    rec = simulate_classical_loop(cfg, dt=0.02, duration=size * 0.02, seed=29)
+    x_ref, current_ref = lfilter_loop(cfg, dt=0.02, duration=size * 0.02, seed=29)
+    assert rec.current.size == size
+    for got, ref in ((rec.current, current_ref), (rec.x_in, x_ref)):
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize(
+    "filt", [RECT, LoopFilter.single_pole(1.0)], ids=["rectangular", "single-pole"]
+)
+def test_simulation_memory_is_the_two_records(filt):
+    # the noises are drawn into the returned arrays and the recursion runs
+    # in bounded chunks: only the two 8 MB records of 1e6 samples stay
+    cfg = LoopConfig(g=-19.0, eps=0.95, eta=0.8, filter=filt)
+    tracemalloc.start()
+    try:
+        rec = simulate_classical_loop(cfg, dt=0.02, duration=2e4, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.x_in.size == 10**6
+    assert peak <= rec.x_in.nbytes + rec.current.nbytes + 4 * 2**20
 
 
 def test_loop_record_reproducible():
