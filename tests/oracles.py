@@ -6,9 +6,10 @@ current `mean_current`; the Bloch-tangent superoperators below are checked
 against brute-force 2x2 matrix arithmetic, `reference_choi` builds the
 Choi matrix of a generator's channel from its matrix-unit definition,
 `two_sided_welch` is the two-sided Welch route that `welch_spectrum` is
-checked against, and `lfilter_loop` runs the classical loop of
+checked against, `lfilter_loop` runs the classical loop of
 `simulate_classical_loop` through scipy's sample-by-sample recursive
-filter.  Conventions are those of `inloop.bloch`.  With r the Bloch vector
+filter, and `least_squares_lorentzian_pair` fits the Lorentzian pair of
+`fit_lorentzian_pair` with scipy's trust-region least squares.  Conventions are those of `inloop.bloch`.  With r the Bloch vector
 of rho, A = a0 I + a . sigma_vec with complex a, and Hermitian
 H = h0 I + h . sigma_vec:
 
@@ -258,3 +259,32 @@ def lfilter_loop(cfg: LoopConfig, dt: float, duration: float, seed: int):
     noise = np.sqrt(cfg.eps) * xi_nu + np.sqrt(1.0 - cfg.eps) * xi_eps
     current = signal.lfilter([1.0], np.concatenate(([1.0], -cfg.g * w)), noise)
     return xi_nu + (current - noise) / np.sqrt(cfg.eps), current
+
+
+def least_squares_lorentzian_pair(spectrum) -> dict:
+    """The scipy route of `inloop.spectra.fit_lorentzian_pair`: the same
+    model and start point fitted by `scipy.optimize.least_squares`
+    (trust-region reflective, bounds 1e-12, xtol = ftol = 1e-14)."""
+    from scipy.optimize import least_squares
+
+    w = spectrum.grid
+    p = spectrum.values
+    peak = float(np.max(p))
+    if peak <= 0.0:
+        raise ParameterError("cannot fit a Lorentzian pair to an empty spectrum")
+    half = np.abs(p - 0.5 * peak)
+    narrow0 = max(abs(float(w[np.argmin(half)])), 1e-3)
+
+    def residual(params):
+        a, g1, g2 = params
+        return a * (g1 / (g1**2 + w**2) + g2 / (g2**2 + w**2)) - p
+
+    start = np.array([peak * narrow0 / 2.0, narrow0, 10.0 * narrow0])
+    fit = least_squares(residual, start, bounds=(1e-12, np.inf), xtol=1e-14, ftol=1e-14)
+    a, g1, g2 = fit.x
+    return {
+        "amplitude": float(a),
+        "narrow": float(min(g1, g2)),
+        "broad": float(max(g1, g2)),
+        "cost": float(fit.cost),
+    }

@@ -19,6 +19,7 @@ from inloop.spectra import analytic_power_spectrum, numerical_power_spectrum
 from inloop.squeezed_bath import build_squeezed_generator
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 
 TRAJ_CONFIG = """\
 # conditioned-trajectory run
@@ -527,8 +528,7 @@ def test_numerical_spectrum_leaves_scipy_signal_unloaded(tmp_path, code):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.linalg is imported by the Choi check that needs it, so a plain
-    # import loads no part of scipy
+    # no module of the package imports scipy
     code = "import sys, inloop; print('scipy' in sys.modules)"
     r = subprocess.run(
         [sys.executable, "-c", code],
@@ -536,6 +536,30 @@ def test_import_leaves_scipy_unloaded():
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+def test_analysis_operations_and_numerical_spectrum_leave_scipy_unloaded(tmp_path):
+    # the benchmark's analysis operations that check complete positivity
+    # (a numpy propagator) and fit Lorentzian pairs (a numpy
+    # Levenberg-Marquardt loop), then a numerical spectrum from the CLI
+    code = (
+        "import sys; from pathlib import Path; import numpy as np; "
+        f"sys.path.insert(0, {BENCH!r}); import workloads; "
+        "analysis = workloads.build('analysis', Path('.')); "
+        "assert analysis.generators(np.random.default_rng(14)); "
+        "assert analysis.fluorescence(); "
+        "from inloop.cli import main; "
+        "assert main(['spectrum', '--model', 'feedback', '--eta', '0.8', '--eps', '0.95', "
+        "'--lambda', '-0.76', '--method', 'numerical', '--points', '41', "
+        "'--outdir', 'out']) == 0; "
+        "print('scipy' in sys.modules)"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False"
 
 
 def test_import_leaves_process_pool_modules_unloaded():

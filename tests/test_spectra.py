@@ -13,6 +13,7 @@ from inloop.bloch import PAULI_X, PAULI_Y
 from inloop.errors import ParameterError
 from inloop.feedback import RateSet, build_generator, rates
 from inloop.spectra import (
+    Spectrum,
     analytic_power_spectrum,
     comparison_report,
     correlation,
@@ -22,7 +23,7 @@ from inloop.spectra import (
     total_flux,
 )
 from inloop.squeezed_bath import build_squeezed_generator, free_rates
-from oracles import bloch_to_matrix, trapezoid_power_spectrum
+from oracles import bloch_to_matrix, least_squares_lorentzian_pair, trapezoid_power_spectrum
 
 FIG2_RATES = rates(-0.76, 0.8, 0.95)
 FIG2_ZSS = rates(-0.76, 0.8, 0.95).steady_state().z
@@ -210,6 +211,65 @@ def test_lorentzian_fit_on_numerical_spectrum():
     fit = fit_lorentzian_pair(num)
     assert abs(fit["narrow"] - 0.12) / 0.12 < 0.01
     assert abs(fit["broad"] - 0.5) / 0.5 < 0.01
+
+
+# (model, grid points, tau_max, dtau) of the spectra that the tests, the
+# fluorescence demo, acceptance criterion 3 and the benchmark's analysis
+# workload (full and tiny) fit; tau_max None is the analytic spectrum
+FITTED_SPECTRA = {
+    "feedback-analytic": ("feedback", 1201, None, None),
+    "free-analytic": ("free", 1201, None, None),
+    "feedback-numerical-601": ("feedback", 601, 200.0 / 0.12, 1e-3),
+    "feedback-criterion-3": ("feedback", 1201, 200.0 / 0.12, 1e-3),
+    "free-criterion-3": ("free", 1201, 200.0 / 0.12, 1e-3),
+    "feedback-analysis": ("feedback", 1201, 100.0 / 0.12, 2e-3),
+    "free-analysis": ("free", 1201, 100.0 / 0.12, 2e-3),
+    "feedback-analysis-tiny": ("feedback", 1201, 25.0 / 0.12, 2e-3),
+    "free-analysis-tiny": ("free", 1201, 25.0 / 0.12, 2e-3),
+}
+
+
+@pytest.mark.parametrize("case", FITTED_SPECTRA)
+def test_lorentzian_fit_matches_least_squares_oracle(case):
+    # Levenberg-Marquardt against scipy's trust-region route from the same
+    # start; the free bath's barely resolved 8.1 line is where they differ
+    # most (1.5e-9 relative, scipy stopping on its gradient tolerance)
+    model, points, tau_max, dtau = FITTED_SPECTRA[case]
+    grid = np.linspace(-3.0, 3.0, points)
+    if tau_max is None:
+        rs = FIG2_RATES if model == "feedback" else free_rates(0.8, 0.05)
+        spectrum = analytic_power_spectrum(rs, 0.8, grid)
+    else:
+        gen = {"feedback": build_generator(-0.76, 0.8, 0.95),
+               "free": build_squeezed_generator(0.8, 0.05)}[model]
+        spectrum = numerical_power_spectrum(gen, 0.8, grid, tau_max, dtau)
+    fit, oracle = fit_lorentzian_pair(spectrum), least_squares_lorentzian_pair(spectrum)
+    for key in ("amplitude", "narrow", "broad"):
+        assert abs(fit[key] - oracle[key]) <= 1e-8 * oracle[key], key
+    assert fit["cost"] <= oracle["cost"] * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize(
+    "grid, values",
+    [
+        (np.linspace(-3, 3, 11), np.full(11, np.nan)),
+        (np.linspace(-3, 3, 11), np.where(np.arange(11) == 5, np.nan, 1.0)),
+        (np.append(np.linspace(-3, 3, 10), np.inf), np.ones(11)),
+    ],
+    ids=["all-nan", "one-nan", "inf-grid"],
+)
+def test_lorentzian_fit_rejects_non_finite_spectra(grid, values):
+    with pytest.raises(ParameterError, match="non-finite"):
+        fit_lorentzian_pair(Spectrum(grid, values))
+
+
+def test_lorentzian_fit_reports_non_convergence():
+    # an alternating 0/1 "spectrum" has no Lorentzian-pair optimum: the
+    # iterates drift towards ever wider lines, where scipy's route stops on
+    # its gradient tolerance at widths near 1277
+    grid = np.linspace(-3, 3, 11)
+    with pytest.raises(ParameterError, match="did not converge in 100 iterations"):
+        fit_lorentzian_pair(Spectrum(grid, (np.arange(11) + 1.0) % 2.0))
 
 
 def test_total_flux_closed_form_against_quad():
