@@ -28,13 +28,16 @@ conservative for filters whose response crosses the real axis only at
 zeros (the rectangular filter with strongly negative gain is a stable
 example it would reject).  The check used here is the Nyquist criterion in
 its practical form: the loop is unstable iff the open-loop response
-g h~(w) crosses the real axis at or beyond +1.  Simulations additionally
-apply the same crossing test to the response of the discretized loop
-(`assert_discrete_stable`); `loop_recursion_poles` is its exact reference.
+g h~(w) crosses the real axis at or beyond +1.  The gain-independent h~ on
+the scan grid is computed once for each of the 64 most recent filters and
+shared read-only.  Simulations also apply the same crossing test to the
+response of the discretized loop (`assert_discrete_stable`), whose exact
+reference is `loop_recursion_poles`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +46,7 @@ from .errors import InstabilityError, ParameterError
 
 # Stability-scan frequencies in units of 1/tau, log spaced over [1e-3, 1e3].
 UNIT_STABILITY_GRID = np.logspace(-3.0, 3.0, 4096)
+STABILITY_CACHE_SIZE = 64  # filters whose response on that grid is kept
 # FFT length for the real-axis crossings of the discretized loop response.
 CROSSING_GRID_POINTS = 1 << 16
 # Shortest Welch segment that leaves a frequency bin between zero and Nyquist.
@@ -77,20 +81,28 @@ class LoopFilter:
     samples: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ParameterError(f"filter delay tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < np.inf:
+            raise ParameterError(f"filter delay tau must be positive and finite, got {self.tau}")
         if self.kind not in ("rectangular", "exponential", "single_pole", "sampled"):
             raise ParameterError(f"unknown filter kind {self.kind!r}")
-        if self.kind == "exponential" and (self.time_constant or 0.0) <= 0.0:
-            raise ParameterError("exponential filter needs a positive time constant")
+        if self.kind == "exponential" and not 0.0 < (self.time_constant or 0.0) < np.inf:
+            raise ParameterError(
+                f"exponential filter needs a positive, finite time constant, "
+                f"got {self.time_constant}"
+            )
         if self.kind == "sampled":
             s = np.asarray(self.samples, dtype=float)
             if s.ndim != 1 or s.size < 2:
                 raise ParameterError("sampled filter needs >= 2 samples")
+            if not np.all(np.isfinite(s)):
+                raise ParameterError("filter samples must be finite")
             if np.any(s < 0.0):
                 raise ParameterError("filter samples must be nonnegative")
             if np.trapezoid(s, dx=self.tau / (s.size - 1)) <= 0.0:
                 raise ParameterError("filter samples must have positive weight")
+            object.__setattr__(self, "samples", tuple(s.tolist()))  # hashable by value
+        elif self.samples is not None:
+            raise ParameterError(f"a {self.kind} filter takes no samples")
 
     @classmethod
     def rectangular(cls, tau: float) -> "LoopFilter":
@@ -195,8 +207,8 @@ class LoopFilter:
         are renormalized to sum exactly to 1 so the discrete loop has
         low-frequency gain exactly g.
         """
-        if dt <= 0.0:
-            raise ParameterError("dt must be positive")
+        if not 0.0 < dt < np.inf:
+            raise ParameterError(f"dt must be positive and finite, got {dt}")
         span = self.support_duration()
         m = int(round(span / dt))
         if m < 1 or dt > span / 2:
@@ -222,6 +234,8 @@ class LoopConfig:
     filter: LoopFilter
 
     def __post_init__(self):
+        if not np.isfinite(self.g):
+            raise ParameterError(f"round-loop gain g must be finite, got {self.g}")
         if not 0.0 < self.eps <= 1.0:
             raise ParameterError(f"detector efficiency eps must be in (0, 1], got {self.eps}")
         if not 0.0 <= self.eta <= 1.0:
@@ -240,12 +254,21 @@ def _real_axis_max(resp: np.ndarray, on_axis: np.ndarray) -> float:
     return float(np.max(np.concatenate((cross, re[on_axis])), initial=-np.inf))
 
 
+@functools.lru_cache(maxsize=STABILITY_CACHE_SIZE)
+def _stability_response(filt: LoopFilter) -> np.ndarray:
+    """h~ of `filt` on the stability grid, shared read-only by its checks."""
+    resp = filt.transfer(UNIT_STABILITY_GRID / filt.tau)
+    resp.flags.writeable = False
+    return resp
+
+
 def ray_crossing_excess(cfg: LoopConfig) -> float:
     """Largest real part of the open-loop response g h~(w) where its locus
     crosses (or touches) the real axis; >= 1 signals an encirclement of
     the critical point, i.e. instability.  The zero-frequency value g is
-    always a real-axis point."""
-    resp = cfg.g * cfg.filter.transfer(UNIT_STABILITY_GRID / cfg.filter.tau)
+    always a real-axis point.  h~ is computed once for each of the 64 most
+    recent filters and kept read-only (`_stability_response`)."""
+    resp = cfg.g * _stability_response(cfg.filter)
     touches = np.abs(resp.imag) < 1e-14 * np.maximum(np.abs(resp.real), 1.0)
     return max(cfg.g, _real_axis_max(resp, touches))
 
@@ -256,7 +279,7 @@ def is_stable(cfg: LoopConfig) -> bool:
 
 def assert_stable(cfg: LoopConfig) -> None:
     excess = ray_crossing_excess(cfg)
-    if excess >= 1.0:
+    if not excess < 1.0:
         raise InstabilityError(
             f"feedback loop unstable: open-loop response crosses the real axis "
             f"at {excess:.6g} >= 1 (g = {cfg.g}, filter = {cfg.filter.kind})"
@@ -396,7 +419,7 @@ def assert_discrete_stable(filt: LoopFilter, g: float, dt: float) -> np.ndarray:
     the ones a simulation at this step runs on."""
     w = filt.discretize(dt)
     excess = discrete_crossing_excess(w, g)
-    if excess >= 1.0:
+    if not excess < 1.0:
         raise InstabilityError(
             f"discretized loop unstable at dt = {dt:.3g}: open-loop response "
             f"crosses the real axis at {excess:.3g} >= 1 "
@@ -431,6 +454,8 @@ def simulate_classical_loop(
     """
     if seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    if not (0.0 < dt < np.inf and 0.0 < duration < np.inf):
+        raise ParameterError(f"dt and duration must be positive and finite, got {dt}, {duration}")
     assert_stable(cfg)
     span = cfg.filter.support_duration()
     if dt > span / 10.0:

@@ -44,6 +44,10 @@ from .squeezed_bath import free_rates
 # [-COMPARISON_SPAN, COMPARISON_SPAN].
 COMPARISON_SPAN = 3.0
 COMPARISON_POINTS = 1201
+# Largest residual norm, relative to the data's norm, of an accepted
+# Lorentzian-pair fit.  Spectra of either model fit to below 1e-6; a
+# spectrum that is no Lorentzian pair leaves a sizable fraction.
+FIT_RESIDUAL_LIMIT = 0.05
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
@@ -154,7 +158,9 @@ def fit_lorentzian_pair(spectrum: Spectrum) -> dict:
     the cost (half the squared residual norm).  Levenberg-Marquardt with the
     analytic Jacobian and A, g1, g2 > 1e-12; it converges when a step moves
     each by at most 1e-12 relative and raises `ParameterError` after 100
-    iterations otherwise.  On both models' spectra it agrees with scipy's
+    iterations otherwise.  It also raises when the residual norm exceeds
+    FIT_RESIDUAL_LIMIT times the data's norm: the data are then no
+    Lorentzian pair.  On both models' spectra it agrees with scipy's
     `least_squares` to 2e-9 relative, at an equal or lower cost."""
     w = spectrum.grid
     p = spectrum.values
@@ -193,6 +199,12 @@ def fit_lorentzian_pair(spectrum: Spectrum) -> dict:
             damping *= 10.0
     else:
         raise ParameterError("Lorentzian-pair fit did not converge in 100 iterations")
+    misfit = np.sqrt(2.0 * cost) / np.linalg.norm(p)
+    if misfit > FIT_RESIDUAL_LIMIT:
+        raise ParameterError(
+            f"no Lorentzian pair fits the spectrum: residual norm / data norm = {misfit:.3g} "
+            f"> {FIT_RESIDUAL_LIMIT}"
+        )
     a, g1, g2 = x
     return {
         "amplitude": float(a),

@@ -132,8 +132,10 @@ class TrajectoryConfig:
 
     def validate(self) -> "TrajectoryConfig":
         tau = self.loop.filter.tau
-        if self.dt <= 0.0 or self.duration <= 0.0:
-            raise ParameterError("dt and duration must be positive")
+        if not (0.0 < self.dt < np.inf and 0.0 < self.duration < np.inf):
+            raise ParameterError(
+                f"dt and duration must be positive and finite, got {self.dt}, {self.duration}"
+            )
         if self.dt > tau / 10.0 + 1e-15:
             raise ParameterError(
                 f"dt = {self.dt} must be at most tau/10 = {tau / 10.0:.3g} "

@@ -8,7 +8,9 @@ Choi matrix of a generator's channel from its matrix-unit definition,
 `two_sided_welch` is the two-sided Welch route that `welch_spectrum` is
 checked against, `lfilter_loop` runs the classical loop of
 `simulate_classical_loop` through scipy's sample-by-sample recursive
-filter, and `least_squares_lorentzian_pair` fits the Lorentzian pair of
+filter, `uncached_crossing_excess` is the Nyquist scan of
+`ray_crossing_excess` with the filter response computed at every call,
+and `least_squares_lorentzian_pair` fits the Lorentzian pair of
 `fit_lorentzian_pair` with scipy's trust-region least squares.  Conventions are those of `inloop.bloch`.  With r the Bloch vector
 of rho, A = a0 I + a . sigma_vec with complex a, and Hermitian
 H = h0 I + h . sigma_vec:
@@ -41,7 +43,7 @@ from inloop.bloch import (
     dissipator,
 )
 from inloop.errors import ParameterError, StepSizeError
-from inloop.loop import LoopConfig, LoopFilter
+from inloop.loop import UNIT_STABILITY_GRID, LoopConfig, LoopFilter, _real_axis_max
 from inloop.trajectories import PURITY_ABORT_CEILING, PURITY_ABORT_FACTOR
 
 
@@ -259,6 +261,14 @@ def lfilter_loop(cfg: LoopConfig, dt: float, duration: float, seed: int):
     noise = np.sqrt(cfg.eps) * xi_nu + np.sqrt(1.0 - cfg.eps) * xi_eps
     current = signal.lfilter([1.0], np.concatenate(([1.0], -cfg.g * w)), noise)
     return xi_nu + (current - noise) / np.sqrt(cfg.eps), current
+
+
+def uncached_crossing_excess(cfg: LoopConfig) -> float:
+    """`inloop.loop.ray_crossing_excess` with h~ on the scan grid evaluated
+    afresh at every call."""
+    resp = cfg.g * cfg.filter.transfer(UNIT_STABILITY_GRID / cfg.filter.tau)
+    touches = np.abs(resp.imag) < 1e-14 * np.maximum(np.abs(resp.real), 1.0)
+    return max(cfg.g, _real_axis_max(resp, touches))
 
 
 def least_squares_lorentzian_pair(spectrum) -> dict:

@@ -308,6 +308,56 @@ def test_negative_seed_is_domain_error_without_output(tmp_path, command, config,
     assert sorted(f.name for f in tmp_path.iterdir()) == ["run.cfg"]
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--g", "nan", "--tau", "1"), "round-loop gain g must be finite, got nan"),
+        (("--g", "-19", "--filter", "single_pole", "--tau", "nan"),
+         "filter delay tau must be positive and finite, got nan"),
+    ],
+    ids=["g-nan", "tau-nan"],
+)
+def test_loop_spectrum_rejects_non_finite_parameters_without_output(tmp_path, args, message):
+    out = tmp_path / "out"
+    r = run_cli("loop-spectrum", "--eta", "0.8", "--eps", "0.95", *args, "--omega-max", "5",
+                "--outdir", str(out), cwd=tmp_path)
+    assert r.returncode == 4
+    assert f"parameter error: {message}" in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("loop-sim", LOOP_CONFIG.replace("g = -19", "g = nan"),
+         "round-loop gain g must be finite, got nan"),
+        ("loop-sim", LOOP_CONFIG.replace("dt = 0.02", "dt = nan"),
+         "dt and duration must be positive and finite, got nan, 200.0"),
+        ("loop-sim", LOOP_CONFIG.replace("duration = 200", "duration = inf"),
+         "dt and duration must be positive and finite, got 0.02, inf"),
+        ("trajectories", TRAJ_CONFIG.replace("g = -19", "g = nan"),
+         "round-loop gain g must be finite, got nan"),
+        ("trajectories", TRAJ_CONFIG.replace("tau = 1e-3", "tau = inf"),
+         "filter delay tau must be positive and finite, got inf"),
+        ("trajectories", TRAJ_CONFIG.replace("dt = 1e-4", "dt = nan"),
+         "dt and duration must be positive and finite, got nan, 0.2"),
+        ("trajectories", TRAJ_CONFIG.replace("duration = 0.2", "duration = inf"),
+         "dt and duration must be positive and finite, got 0.0001, inf"),
+    ],
+    ids=["loop-sim-g", "loop-sim-dt", "loop-sim-duration", "trajectories-g",
+         "trajectories-tau", "trajectories-dt", "trajectories-duration"],
+)
+def test_non_finite_run_parameters_are_domain_errors_without_output(
+    tmp_path, command, config, message
+):
+    (tmp_path / "run.cfg").write_text(config)
+    out = tmp_path / "out"
+    r = run_cli(command, "--config", "run.cfg", "--seed", "9", "--outdir", str(out), cwd=tmp_path)
+    assert r.returncode == 4, r.stderr
+    assert f"parameter error: {message}" in r.stderr
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["run.cfg"]
+
+
 def test_missing_config_file(tmp_path):
     r = run_cli("trajectories", "--config", "nope.cfg", "--seed", "1", cwd=tmp_path)
     assert r.returncode == 1

@@ -1,16 +1,19 @@
 """Classical loop: transfer functions, spectra, gain conversions, stability,
 and the Monte Carlo loop against the analytic spectra."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from inloop import loop
 from inloop.errors import InstabilityError, ParameterError
 from inloop.loop import (
     LoopConfig,
     LoopFilter,
     assert_discrete_stable,
+    assert_stable,
     band_average,
     discrete_crossing_excess,
     discrete_loop_transfer,
@@ -26,7 +29,7 @@ from inloop.loop import (
     squeezing_from_lambda,
     welch_spectrum,
 )
-from oracles import lfilter_loop, two_sided_welch
+from oracles import lfilter_loop, two_sided_welch, uncached_crossing_excess
 
 RECT = LoopFilter.rectangular(1.0)
 EXP7 = LoopFilter.from_samples(1.0, np.exp(-np.linspace(0.0, 1.0, 7) / 0.25))
@@ -129,6 +132,101 @@ def test_filter_validation():
         LoopFilter.from_samples(1.0, [-1.0, 2.0])
     with pytest.raises(ParameterError):
         LoopFilter("gaussian", 1.0)
+    with pytest.raises(ParameterError, match="a rectangular filter takes no samples"):
+        LoopFilter("rectangular", 1.0, samples=[1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: LoopFilter.rectangular(np.nan), "tau must be positive and finite, got nan"),
+        (lambda: LoopFilter.rectangular(np.inf), "tau must be positive and finite, got inf"),
+        (lambda: LoopFilter.single_pole(np.nan), "tau must be positive and finite, got nan"),
+        (lambda: LoopFilter.exponential(1.0, np.nan), "positive, finite time constant, got nan"),
+        (lambda: LoopFilter.exponential(1.0, np.inf), "positive, finite time constant, got inf"),
+        (lambda: LoopFilter.from_samples(1.0, [1.0, np.nan, 1.0]), "samples must be finite"),
+        (lambda: LoopFilter.from_samples(1.0, [1.0, np.inf]), "samples must be finite"),
+        (lambda: fig2_loop(np.nan), "gain g must be finite, got nan"),
+        (lambda: fig2_loop(np.inf), "gain g must be finite, got inf"),
+        (lambda: fig2_loop(-np.inf), "gain g must be finite, got -inf"),
+    ],
+    ids=["tau-nan", "tau-inf", "single-pole-nan", "time-constant-nan", "time-constant-inf",
+         "sample-nan", "sample-inf", "g-nan", "g-inf", "g-minus-inf"],
+)
+def test_non_finite_loop_parameters_are_rejected(make, message):
+    with pytest.raises(ParameterError, match=message):
+        make()
+
+
+def test_stability_asserts_fail_on_nan_excess(monkeypatch):
+    # is_stable says False on a NaN excess, so assert_stable must raise
+    monkeypatch.setattr(loop, "ray_crossing_excess", lambda cfg: np.nan)
+    assert not is_stable(fig2_loop())
+    with pytest.raises(InstabilityError, match="at nan >= 1"):
+        assert_stable(fig2_loop())
+    monkeypatch.setattr(loop, "discrete_crossing_excess", lambda w, g: np.nan)
+    with pytest.raises(InstabilityError, match="at nan >= 1"):
+        assert_discrete_stable(RECT, -19.0, 0.02)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0])
+def test_discretize_rejects_step_that_is_not_positive_and_finite(dt):
+    with pytest.raises(ParameterError, match=f"dt must be positive and finite, got {dt}"):
+        RECT.discretize(dt)
+
+
+# Filters of every kind for the stability-cache sweep.
+SWEEP_FILTERS = [
+    LoopFilter.rectangular(0.7),
+    LoopFilter.exponential(1.3, 0.4),
+    LoopFilter.single_pole(0.2),
+    LoopFilter.from_samples(2.0, np.random.default_rng(15).random(17)),
+]
+
+
+@pytest.mark.parametrize("filt", SWEEP_FILTERS, ids=lambda f: f.kind)
+def test_cached_crossing_excess_is_bitwise_the_uncached_scan(filt):
+    for g in np.random.default_rng(1501).uniform(-40.0, 0.99, 300):
+        cfg = LoopConfig(g=float(g), eps=0.9, eta=0.8, filter=filt)
+        ref = uncached_crossing_excess(cfg)
+        assert ray_crossing_excess(cfg) == ref
+        assert is_stable(cfg) == (ref < 1.0)
+        if ref >= 1.0:
+            expected = f"at {ref:.6g} >= 1 (g = {cfg.g}, filter = {filt.kind})"
+            with pytest.raises(InstabilityError, match=re.escape(expected)):
+                assert_stable(cfg)
+
+
+def test_cached_stability_response_is_read_only():
+    resp = loop._stability_response(RECT)
+    assert not resp.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        resp[0] = 0.0
+
+
+def test_equal_filters_share_one_stability_response():
+    loop._stability_response.cache_clear()
+    first = loop._stability_response(LoopFilter.exponential(0.8, 0.2))
+    second = loop._stability_response(LoopFilter.exponential(0.8, 0.2))
+    assert second is first
+    assert loop._stability_response.cache_info()[:2] == (1, 1)  # (hits, misses)
+    # same tau, different samples: two entries
+    a = loop._stability_response(LoopFilter.from_samples(0.8, [1.0, 2.0, 1.0]))
+    b = loop._stability_response(LoopFilter.from_samples(0.8, [1.0, 0.5, 1.0]))
+    assert loop._stability_response.cache_info()[:2] == (1, 3)
+    assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("samples", [[0.0, 3.0, 1, 2.0], np.array([0.0, 3.0, 1.0, 2.0])],
+                         ids=["list", "ndarray"])
+def test_sampled_filter_built_directly_hashes_like_from_samples(samples):
+    filt = LoopFilter("sampled", 0.5, samples=samples)
+    ref = LoopFilter.from_samples(0.5, [0.0, 3.0, 1.0, 2.0])
+    assert filt == ref and hash(filt) == hash(ref)
+    assert type(filt.samples) is tuple and all(type(v) is float for v in filt.samples)
+    assert ray_crossing_excess(LoopConfig(g=-2.0, eps=0.9, eta=0.8, filter=filt)) == (
+        uncached_crossing_excess(LoopConfig(g=-2.0, eps=0.9, eta=0.8, filter=ref))
+    )
 
 
 # -- analytic spectra --------------------------------------------------------
@@ -464,6 +562,13 @@ def test_simulate_rejects_loop_unstable_only_once_discretized():
     assert is_stable(cfg)
     with pytest.raises(InstabilityError, match="discretized loop"):
         simulate_classical_loop(cfg, dt=1e-4, duration=1.0, seed=1)
+
+
+@pytest.mark.parametrize("dt, duration", [(np.nan, 50.0), (0.0, 50.0), (0.02, np.nan),
+                                          (0.02, np.inf)])
+def test_simulate_rejects_step_and_duration_that_are_not_positive_and_finite(dt, duration):
+    with pytest.raises(ParameterError, match="dt and duration must be positive and finite"):
+        simulate_classical_loop(fig2_loop(), dt=dt, duration=duration, seed=1)
 
 
 def test_simulate_rejects_negative_seed():

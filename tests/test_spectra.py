@@ -247,6 +247,8 @@ def test_lorentzian_fit_matches_least_squares_oracle(case):
     for key in ("amplitude", "narrow", "broad"):
         assert abs(fit[key] - oracle[key]) <= 1e-8 * oracle[key], key
     assert fit["cost"] <= oracle["cost"] * (1.0 + 1e-6)
+    # far inside the goodness-of-fit bound: residual norms reach 1.8e-7 of the data's
+    assert np.sqrt(2.0 * fit["cost"]) <= 1e-6 * np.linalg.norm(spectrum.values)
 
 
 @pytest.mark.parametrize(
@@ -270,6 +272,15 @@ def test_lorentzian_fit_reports_non_convergence():
     grid = np.linspace(-3, 3, 11)
     with pytest.raises(ParameterError, match="did not converge in 100 iterations"):
         fit_lorentzian_pair(Spectrum(grid, (np.arange(11) + 1.0) % 2.0))
+
+
+@pytest.mark.parametrize("points", [101, 201])
+def test_lorentzian_fit_rejects_data_that_are_no_lorentzian_pair(points):
+    # the alternating 0/1 "spectrum" converges to a degenerate pair of equal
+    # widths whose residual norm is 0.71 (0.709 at 201 points) of the data's
+    grid = np.linspace(-3, 3, points)
+    with pytest.raises(ParameterError, match=r"residual norm / data norm = 0\.7\d* > 0\.05"):
+        fit_lorentzian_pair(Spectrum(grid, np.arange(points) % 2.0))
 
 
 def test_total_flux_closed_form_against_quad():
