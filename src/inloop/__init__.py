@@ -25,7 +25,7 @@ Times and frequencies are in units of the atomic lifetime throughout.
 """
 
 from .bloch import AtomOperator, AtomState
-from .errors import ConfigError, InstabilityError, ParameterError, StepSizeError
+from .errors import ConfigError, InstabilityError, ParameterError
 from .feedback import (
     AffineGenerator,
     RateSet,
@@ -81,7 +81,6 @@ __all__ = [
     "ParameterError",
     "RateSet",
     "Spectrum",
-    "StepSizeError",
     "TrajectoryConfig",
     "analytic_power_spectrum",
     "build_generator",

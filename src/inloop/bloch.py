@@ -51,9 +51,9 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
-# Purity tolerance for exact propagation; stochastic trajectories bound
-# their purity excess by `trajectories.PURITY_ABORT_FACTOR` * dt instead,
-# because Euler-Maruyama is order 1/2.
+# Purity tolerance for exact propagation.  Stochastic trajectories need
+# none of their own: their Kraus step keeps every state in the Bloch ball
+# up to rounding.
 EXACT_PURITY_TOL = 1e-9
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, InstabilityError, ParameterError, StepSizeError
+from .errors import ConfigError, InstabilityError, ParameterError
 from .bloch import AtomState
 from .feedback import build_generator, rates
 from .loop import (
@@ -68,6 +68,8 @@ def _filter_from(kind: str, tau: float, time_constant: float | None) -> LoopFilt
 def _omega_grid(lo: float, hi: float, points: int) -> np.ndarray:
     if points < 1:
         raise ParameterError(f"--points must be at least 1, got {points}")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ParameterError(f"frequency grid bounds must be finite, got {lo}, {hi}")
     return np.linspace(lo, hi, points)
 
 
@@ -373,7 +375,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (InstabilityError, StepSizeError) as exc:
+    except InstabilityError as exc:
         print(f"instability: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
     except OSError as exc:

@@ -9,10 +9,5 @@ class InstabilityError(RuntimeError):
     """The feedback loop is unstable, or a runtime divergence guard tripped."""
 
 
-class StepSizeError(RuntimeError):
-    """Stochastic integration left the physical state space by more than
-    the per-step overshoot budget (the step size is too large)."""
-
-
 class ConfigError(ValueError):
     """A run configuration file is malformed or incomplete."""

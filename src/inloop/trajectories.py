@@ -20,22 +20,25 @@ the fed-back noise independent of the concurrent measurement increment.
 
 Scheme notes
 ------------
-Damping and conditioning are integrated by Euler-Maruyama (order 1/2).
-The feedback term is applied as an exact rotation about the y axis by the
-angle sqrt(eta) Phi dt, composed after the Euler update.  The rotation
-must not be linearized: the drive carries the fed-back shot noise, so its
-per-step variance scales like (g^2/eps) dt^2 / (loop memory), which is of
-diffusive order dt for practicable step counts; the exact rotation keeps
-the norm and captures the quadratic Ito content of the fed-back noise,
-where the linearized tangent would need tau/dt >> g^2 orders of magnitude
-beyond any practical budget (it silently distorts the ensemble drift long
-before it visibly diverges).
+Damping and conditioning are one completely positive, trace-normalized
+Kraus step (P. Rouchon and J. F. Ralph, Phys. Rev. A 91, 012118 (2015)):
 
-A step from a state near the Bloch sphere can still overshoot the surface
-by O(dW^2) through the conditioning term.  Whenever the squared Bloch
-length exceeds 1 it is rescaled onto the sphere; an excess beyond
-PURITY_ABORT_FACTOR * dt aborts the run as a step-size failure.  Recorded
-states therefore satisfy the trajectory purity bound exactly.
+    rho <- [M rho M+ + (1 - eta eps) dt sigma rho sigma+] / trace
+    M = I - sigma+ sigma dt/2 + sqrt(eta eps) sigma dy,
+    dy = sqrt(eta eps) x dt + dW,
+
+which agrees with the Ito equation to first order in dt (the second-order
+term in sigma^2 vanishes for a two-level atom).  Every step maps a density
+matrix to a density matrix, so states stay in the Bloch ball for any dW and
+no purity check or projection is needed.  The feedback term is applied as
+an exact rotation about the y axis by the angle sqrt(eta) Phi dt, composed
+after the Kraus step.  The rotation must not be linearized: the drive
+carries the fed-back shot noise, so its per-step variance scales like
+(g^2/eps) dt^2 / (loop memory), which is of diffusive order dt for
+practicable step counts; the exact rotation keeps the norm and captures the
+quadratic Ito content of the fed-back noise, where the linearized tangent
+would need tau/dt >> g^2 orders of magnitude beyond any practical budget
+(it silently distorts the ensemble drift long before it visibly diverges).
 
 Ensembles are bitwise deterministic for a fixed (seed, n_traj, dt): each
 trajectory consumes its own generator seeded with seed XOR index (drawn in
@@ -63,8 +66,8 @@ arrays, which live in an anonymous shared mapping, so nothing is copied
 back.  Trajectories are independent columns of the elementwise step, so
 the outputs are bitwise the same for any number of CPUs.  A failure is
 reported as the whole ensemble would meet it: each slice stops at its first
-failed check, and the earliest (step, check) over the slices is raised,
-with the largest value among the slices failing there.  General weights
+guard trip, and the earliest step over the slices is raised, with the
+largest peak among the slices tripping there.  General weights
 always run as one slice, because the BLAS product rounds differently with
 the width and offset of a slice.  One slice, the rule's result on one CPU
 and for narrow ensembles, is also taken where fork is unavailable, in a
@@ -84,17 +87,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import AtomState
-from .errors import InstabilityError, ParameterError, StepSizeError
+from .errors import InstabilityError, ParameterError
 from .loop import LoopConfig, assert_discrete_stable, assert_stable, welch_spectrum
-
-# Per-step purity overshoot budget, in units of dt.  The conditioning term
-# moves a near-pure state off the sphere by ~ eta eps dW^2 = O(dt) with
-# chi-squared fluctuations; 200 dt is >= 11 sigma for reachable states
-# while still catching runaway steps quickly.
-PURITY_ABORT_FACTOR = 200.0
-
-# Absolute backstop: no physical overshoot mechanism reaches this.
-PURITY_ABORT_CEILING = 8.0
 
 # Steps of shot noise drawn per block.  The noise buffer and the current and
 # drive record buffers each hold NOISE_BLOCK steps of the whole ensemble
@@ -205,38 +199,26 @@ class _Plan:
     ratio: float
 
 
-# Failure kinds, numbered in the order a step checks them.  A slice reports
-# its first failure as (step, kind, value).
-_GUARD, _PURITY = 0, 1
-
-
 def _raise_first_failure(cfg: TrajectoryConfig, failures) -> None:
-    """Raise the failure the whole ensemble, stepped as one, meets first:
-    the earliest (step, kind) over the slices, valued by the largest value
-    among the slices failing there.  Every other slice ran that check within
-    bounds, so the value is the whole ensemble's."""
+    """Raise the guard trip the whole ensemble, stepped as one, meets first:
+    the earliest step over the slices, valued by the largest peak among the
+    slices tripping there.  Every other slice ran that step within bounds,
+    so the peak is the whole ensemble's."""
     failed = [f for f in failures if f is not None]
     if not failed:
         return
-    k, kind = min(f[:2] for f in failed)
-    value = max(f[2] for f in failed if f[:2] == (k, kind))
-    dt = cfg.dt
-    if kind == _GUARD:
-        raise InstabilityError(
-            f"feedback drive |Phi| = {value:.3g} exceeded the guard "
-            f"{cfg.phi_guard:.3g} at t = {k * dt:.4g}"
-        )
-    cap = min(PURITY_ABORT_FACTOR * dt, PURITY_ABORT_CEILING)
-    raise StepSizeError(
-        f"step size too large: purity overshoot {value - 1.0:.3e} at "
-        f"t = {(k + 1) * dt:.4g} exceeds budget {cap:.3e}"
+    k = min(step for step, _ in failed)
+    peak = max(value for step, value in failed if step == k)
+    raise InstabilityError(
+        f"feedback drive |Phi| = {peak:.3g} exceeded the guard "
+        f"{cfg.phi_guard:.3g} at t = {k * cfg.dt:.4g}"
     )
 
 
 def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int):
     """Step trajectories [lo, hi) in lockstep, writing their rows of the
-    output arrays.  Returns None, or the first failure as (step, kind,
-    value) where the rows are left partly written."""
+    output arrays.  Returns None, or the first guard trip as (step, peak)
+    where the rows are left partly written."""
     cfg = plan.cfg
     n = hi - lo
     dt = cfg.dt
@@ -252,14 +234,16 @@ def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int):
     general = plan.filter_mode == "general"
     feedback = g != 0.0
     guard = cfg.phi_guard
-    cap = min(PURITY_ABORT_FACTOR * dt, PURITY_ABORT_CEILING)
+    a = 1.0 - 0.5 * dt
     # Scalar operands as 0-d float64 arrays: a Python float or numpy scalar
     # operand costs a conversion on every ufunc call.
-    ratio_m, ratio, fb_scale, meas_scale, sqrt_eps, theta_scale, half_damp, dt64, one = (
+    (ratio_m, ratio, fb_scale, meas_scale, sqrt_eps, theta_scale, cond_drift, no_click_m1,
+     a64, a_sq, dt64, half, one) = (
         np.array(v, dtype=np.float64)
         for v in (
             plan.ratio**m, plan.ratio, g / np.sqrt(eps), np.sqrt(eta * eps), np.sqrt(eps),
-            np.sqrt(eta) * dt, -0.5 * dt, dt, 1.0,
+            np.sqrt(eta) * dt, eta * eps * dt, (1.0 - eta * eps) * dt - 1.0, a, a * a, dt, 0.5,
+            1.0,
         )
     )
     phi_scale = np.array(fb_scale * weights[0])
@@ -272,16 +256,13 @@ def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int):
 
     state = np.repeat(cfg.initial_state.bloch[:, None], n, axis=1)
     x, y, z = state
-    xy, yz, xz = state[:2], state[1:], state[::2]
+    xy, xz, zx = state[:2], state[::2], state[2::-2]
     ring = np.zeros((m, n))
     hist_sum = np.zeros(n)  # geometric recursion state
     phi = np.zeros(n)
-    meas, one_z, tmp, aux, lagged = (np.empty(n) for _ in range(5))
-    terms = np.empty((3, n))
-    tx, ty, tz = terms
+    b, p, q, one_z, tmp, aux, lagged = (np.empty(n) for _ in range(7))
     trig, pair_a, pair_b = np.empty((2, n)), np.empty((2, n)), np.empty((2, n))
     cos_t, sin_t = trig
-    zx = state[2::-2]
 
     block = min(NOISE_BLOCK, n_steps)
     draws = np.empty((min(n, NOISE_TILE), block))
@@ -290,7 +271,6 @@ def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int):
     drv_block = np.empty((block, n)) if drives is not None else None
 
     add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
-    peak_of = np.maximum.reduce
     records[:, 0] = state.T
     rec = 1
     for k0 in range(0, n_steps, block):
@@ -315,9 +295,9 @@ def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int):
                 else:
                     mul(hist_sum, phi_scale, phi)
                 np.abs(phi, tmp)
-                peak = float(peak_of(tmp))
+                peak = float(np.maximum.reduce(tmp))
                 if peak > guard:
-                    return k, _GUARD, peak
+                    return k, peak
 
             # The current meas_scale x + sqrt(eps) Phi + dW/dt goes straight
             # into its ring slot once the slot's oldest sample has been read.
@@ -338,27 +318,31 @@ def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int):
             if drv_block is not None:
                 drv_block[j] = phi
 
-            # Euler-Maruyama damping and conditioning, meas = sqrt(eta eps) dW:
-            #   x <- (x + x (-dt/2)) + meas (1 + z - x x)
-            #   y <- (y + y (-dt/2)) - meas (x y)
-            #   z <- (z - (1 + z) dt) - meas (x (1 + z))
+            # Kraus damping and conditioning, b = sqrt(eta eps) dy with
+            # dy = sqrt(eta eps) x dt + dW, p = (1 + z)/2 and a = 1 - dt/2:
+            #   q = 1 + p (b b + (1 - eta eps) dt - 1) + b x,   T = a a p + q
+            #   x <- (x + b (1 + z)) (a / T),  y <- y (a / T),  z <- (a a p - q) / T
             # The grouping is part of the determinism contract: regrouping a
             # sum or product changes the last bits of every output.
-            mul(dw, meas_scale, meas)
+            mul(x, cond_drift, b)
+            mul(dw, meas_scale, tmp)
+            add(b, tmp, b)
             add(z, one, one_z)
-            mul(x, x, tx)
-            mul(x, y, ty)
-            mul(x, one_z, tz)
-            sub(one_z, tx, tx)
-            mul(meas, tx, tx)
-            mul(meas, ty, ty)
-            mul(meas, tz, tz)
-            mul(xy, half_damp, pair_a)
-            add(xy, pair_a, xy)
-            mul(one_z, dt64, one_z)
-            sub(z, one_z, z)
-            add(x, tx, x)
-            sub(yz, terms[1:], yz)
+            mul(one_z, half, p)
+            mul(b, b, q)
+            add(q, no_click_m1, q)
+            mul(p, q, q)
+            add(q, one, q)
+            mul(b, x, tmp)
+            add(q, tmp, q)
+            mul(p, a_sq, p)
+            add(p, q, aux)
+            mul(b, one_z, tmp)
+            add(x, tmp, x)
+            div(a64, aux, tmp)
+            mul(xy, tmp, xy)
+            sub(p, q, z)
+            div(z, aux, z)
 
             # Exact feedback rotation about y by sqrt(eta) Phi dt:
             #   x <- x cos + z sin,  z <- z cos - x sin.
@@ -369,23 +353,6 @@ def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int):
             mul(zx, trig, pair_b)
             add(pair_a[0], pair_a[1], x)
             sub(pair_b[0], pair_b[1], z)
-
-            # Purity budget, then projection of overshooting states.  The
-            # projection leaves a state inside the sphere bitwise unchanged,
-            # so skipping it when no state overshoots is exact.
-            mul(state, state, terms)
-            add(terms[0], terms[1], tmp)
-            add(tmp, terms[2], tmp)
-            worst = float(peak_of(tmp))
-            if worst > 1.0 + cap:
-                return k, _PURITY, worst
-            if worst > 1.0:
-                np.maximum(tmp, one, out=tmp)
-                np.sqrt(tmp, tmp)
-                div(one, tmp, tmp)
-                mul(x, tmp, x)
-                mul(y, tmp, y)
-                mul(z, tmp, z)
 
             if mask[k + 1]:
                 records[:, rec] = state.T

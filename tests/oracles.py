@@ -10,8 +10,12 @@ checked against, `lfilter_loop` runs the classical loop of
 `simulate_classical_loop` through scipy's sample-by-sample recursive
 filter, `uncached_crossing_excess` is the Nyquist scan of
 `ray_crossing_excess` with the filter response computed at every call,
-and `least_squares_lorentzian_pair` fits the Lorentzian pair of
-`fit_lorentzian_pair` with scipy's trust-region least squares.  Conventions are those of `inloop.bloch`.  With r the Bloch vector
+`least_squares_lorentzian_pair` fits the Lorentzian pair of
+`fit_lorentzian_pair` with scipy's trust-region least squares, and
+`single_pole_hybrid_generator` is the exact generator of the atom jointly
+with a single-pole feedback drive, the finite-bandwidth reference for the
+engine's decay rates and, as tau -> 0, for `inloop.feedback.rates`.
+Conventions are those of `inloop.bloch`.  With r the Bloch vector
 of rho, A = a0 I + a . sigma_vec with complex a, and Hermitian
 H = h0 I + h . sigma_vec:
 
@@ -42,9 +46,8 @@ from inloop.bloch import (
     AtomState,
     dissipator,
 )
-from inloop.errors import ParameterError, StepSizeError
+from inloop.errors import ParameterError
 from inloop.loop import UNIT_STABILITY_GRID, LoopConfig, LoopFilter, _real_axis_max
-from inloop.trajectories import PURITY_ABORT_CEILING, PURITY_ABORT_FACTOR
 
 
 def bloch_tangent(g, s: AtomState) -> np.ndarray:
@@ -160,39 +163,75 @@ def feedback_drive(history, filt: LoopFilter, g: float, eps: float, dt: float) -
 
 
 def step_conditioned(
-    s: AtomState,
-    phi: float,
-    dw: float,
-    dt: float,
-    eta: float,
-    eps: float,
-    max_excess: float | None = None,
+    s: AtomState, phi: float, dw: float, dt: float, eta: float, eps: float
 ) -> AtomState:
-    """Single step of the conditioned master equation: Euler-Maruyama for
-    damping plus homodyne conditioning, composed with the exact feedback
-    rotation exp(-i H_fb dt) for H_fb = sqrt(eta) Phi sigma_y / 2 (see the
-    `inloop.trajectories` docstring for why the rotation is not
-    linearized), then the post-step projection."""
-    sigma = AtomOperator.lowering()
-    r = (
-        s.bloch
-        + dt * bloch_tangent(dissipator(sigma), s)
-        + np.sqrt(eta * eps) * dw * measurement_superop(sigma, s)
+    """Single step of the conditioned master equation by 2x2 matrix
+    arithmetic: the Kraus map
+
+        rho -> M rho M+ + (1 - eta eps) dt sigma rho sigma+,
+        M = I - sigma+ sigma dt/2 + sqrt(eta eps) sigma dy,
+        dy = sqrt(eta eps) <sigma_x> dt + dw,
+
+    normalized by its trace, then the exact feedback rotation
+    U = exp(-i H_fb dt) for H_fb = sqrt(eta) Phi sigma_y / 2 (see the
+    `inloop.trajectories` docstring for why it is not linearized)."""
+    sigma = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    rho = bloch_to_matrix(s)
+    dy = np.sqrt(eta * eps) * s.x * dt + dw
+    m = IDENTITY - 0.5 * dt * sigma.conj().T @ sigma + np.sqrt(eta * eps) * dy * sigma
+    rho = m @ rho @ m.conj().T + (1.0 - eta * eps) * dt * sigma @ rho @ sigma.conj().T
+    rho /= np.trace(rho)
+    half = 0.5 * np.sqrt(eta) * phi * dt
+    u = np.cos(half) * IDENTITY - 1j * np.sin(half) * PAULI_Y
+    return state_from_matrix(u @ rho @ u.conj().T)
+
+
+def single_pole_hybrid_generator(eta, eps, g, tau, n_modes=16) -> np.ndarray:
+    """Exact generator of the atom jointly with the drive Phi of a
+    single-pole loop, which obeys the linear SDE
+
+        dPhi = [(g - 1) Phi + g sqrt(eta) x] dt / tau + g / (tau sqrt(eps)) dW.
+
+    The unnormalized joint state v(Phi) = (p, X, Y, Z)(Phi) then obeys the
+    linear hybrid Fokker-Planck equation
+
+        dv/dt = G_D v + sqrt(eta) Phi R v
+                - d/dPhi [(g - 1) Phi v / tau + (g sqrt(eta) / tau) M v]
+                + (g^2 / (2 tau^2 eps)) d^2 v / dPhi^2
+
+    (G_D the damping, R the rotation about y, M v = (X, p + Z, 0, -X) the
+    Pauli coordinates of sigma rho + rho sigma+; the x rho terms of the
+    conditioning and of the drift cancel).  Expanded in the functions
+    f_n = P0 He_n(Phi / s) / sqrt(n!) of the drive's stationary
+    Ornstein-Uhlenbeck law P0 (variance s^2 = g^2 / (2 tau eps (1 - g))),
+    where Phi f_n = s (sqrt(n + 1) f_{n+1} + sqrt(n) f_{n-1}) and
+    d/dPhi f_n = -sqrt(n + 1) f_{n+1} / s, the generator is the banded
+    4N x 4N matrix on the coefficient blocks c_0 .. c_{N-1} returned here.
+    The atom's own state is c_0, the only block with a nonzero Phi-integral.
+    """
+    s = abs(g) / np.sqrt(2.0 * tau * eps * (1.0 - g))
+    n = np.arange(n_modes)
+    shift = np.diag(np.sqrt(n[1:]), -1)  # f_n -> sqrt(n + 1) f_{n+1}
+    rotation = np.zeros((4, 4))
+    rotation[1, 3], rotation[3, 1] = 1.0, -1.0
+    homodyne = np.array([[0, 1, 0, 0], [1, 0, 0, 1], [0, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
+    return (
+        np.kron(np.eye(n_modes), dissipator(AtomOperator.lowering()))
+        - np.kron(np.diag(n * (1.0 - g) / tau), np.eye(4))
+        + np.sqrt(eta) * s * np.kron(shift + shift.T, rotation)
+        + g * np.sqrt(eta) / (tau * s) * np.kron(shift, homodyne)
     )
-    theta = np.sqrt(eta) * phi * dt
-    if theta != 0.0:
-        c, sn = np.cos(theta), np.sin(theta)
-        r = np.array([r[0] * c + r[2] * sn, r[1], -r[0] * sn + r[2] * c])
-    cap = min(PURITY_ABORT_FACTOR * dt, PURITY_ABORT_CEILING) if max_excess is None else max_excess
-    n2 = float(r @ r)
-    if n2 > 1.0 + cap:
-        raise StepSizeError(
-            f"step size too large: purity overshoot {n2 - 1.0:.3e} exceeds "
-            f"budget {cap:.3e}"
-        )
-    if n2 > 1.0:
-        r /= np.sqrt(n2)
-    return AtomState.from_bloch(r)
+
+
+def single_pole_hybrid_rates(eta, eps, g, tau, n_modes=16) -> tuple[float, float, float]:
+    """(gamma_x, gamma_y, gamma_z) of `single_pole_hybrid_generator`: of its
+    four slowest modes, the stationary one (eigenvalue nearest 0) is
+    dropped, and each other is assigned to the Bloch axis that dominates
+    its c_0 block (an axis that no mode dominates raises KeyError)."""
+    vals, vecs = np.linalg.eig(single_pole_hybrid_generator(eta, eps, g, tau, n_modes))
+    slow = np.argsort(np.abs(vals))[1:4]
+    out = {int(np.argmax(np.abs(vecs[1:4, i]))): -vals[i].real for i in slow}
+    return out[0], out[1], out[2]
 
 
 def trapezoid_power_spectrum(drift, constant, eta, grid, tau_max, dtau) -> np.ndarray:

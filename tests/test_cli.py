@@ -218,10 +218,16 @@ def test_spectrum_csv_matches_library(tmp_path, model, method):
          "spectrum.csv", "--model free does not take --eps, --g"),
         (["spectrum", "--model", "free", "--eta", "0.8", "--L", "0.05", "--lambda", "-0.76"],
          "spectrum.csv", "--model free does not take --lambda"),
+        (["loop-spectrum", "--eta", "0.8", "--eps", "0.95", "--g", "-19", "--tau", "1",
+          "--omega-min", "nan", "--omega-max", "5", "--points", "3"],
+         "loop_spectrum.csv", "frequency grid bounds must be finite, got nan, 5.0"),
+        (["spectrum", "--model", "free", "--eta", "0.8", "--L", "0.05", "--omega-max", "nan",
+          "--points", "3"],
+         "spectrum.csv", "frequency grid bounds must be finite, got nan, nan"),
     ],
     ids=["loop-spectrum-points", "spectrum-points", "spectrum-zero-points",
          "zero-dtau", "negative-dtau", "zero-tau-max", "feedback-with-L", "free-with-eps-g",
-         "free-with-lambda"],
+         "free-with-lambda", "loop-spectrum-nan-omega-min", "spectrum-nan-omega-max"],
 )
 def test_bad_grid_arguments_are_domain_errors(tmp_path, args, csv, message):
     r = run_cli(*args, "--outdir", str(tmp_path), cwd=tmp_path)

@@ -14,6 +14,7 @@ from inloop.feedback import (
 )
 from inloop.loop import squeezing_from_lambda
 from inloop.squeezed_bath import free_rates
+from oracles import single_pole_hybrid_rates
 
 FIG2 = dict(lam=-0.76, eta=0.8, eps=0.95)
 
@@ -76,6 +77,22 @@ def test_generator_drift_matches_rates():
         assert np.allclose(gen.constant, [0.0, 0.0, -rs.C], atol=1e-12)
         # off-diagonal couplings vanish: the Bloch equations decouple
         assert np.max(np.abs(gen.drift - np.diag(np.diag(gen.drift)))) < 1e-12
+
+
+def test_single_pole_hybrid_generator_reaches_the_markovian_rates():
+    # the exact generator of the atom and a single-pole drive, which never
+    # reads `rates` or `build_generator`, gives the closed-form rates as
+    # tau -> 0 (lam = g eta / (1 - g)); its finite-bandwidth correction is
+    # first order in tau, largest (3e-5 relative here) for gains near 1,
+    # where the loop is slowest
+    rng = np.random.default_rng(2015)
+    for _ in range(200):
+        eta, eps, g = rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0), rng.uniform(-30.0, 0.9)
+        rs = rates(g * eta / (1.0 - g), eta, eps)
+        np.testing.assert_allclose(
+            single_pole_hybrid_rates(eta, eps, g, 1e-5), (rs.gamma_x, rs.gamma_y, rs.gamma_z),
+            rtol=1e-4, err_msg=f"eta={eta}, eps={eps}, g={g}",
+        )
 
 
 def test_generator_reduces_to_damping_at_zero_feedback():
