@@ -44,8 +44,9 @@ Ensembles are bitwise deterministic for a fixed (seed, n_traj, dt): each
 trajectory consumes its own generator seeded with seed XOR index (drawn in
 blocks of NOISE_BLOCK steps, which leaves the stream unchanged), all
 trajectories are stepped in lockstep by elementwise vectorized arithmetic,
-and means and variances are reduced by records.mean(axis=0) and
-records.var(axis=0, ddof=1), which add the rows in trajectory-index order.
+and the mean is records.mean(axis=0) and the variance a row-by-row sum of
+squared deviations, bitwise records.var(axis=0, ddof=1): both add the rows
+in trajectory-index order.
 With geometric filter weights (flat ones have ratio 1) a member's
 operation order does not depend on the ensemble size, so member i equals
 the single run seeded seed XOR i bitwise; general weights take the
@@ -65,8 +66,10 @@ with the same kernel and writes their rows of the record, current and drive
 arrays, which live in an anonymous shared mapping, so nothing is copied
 back.  Trajectories are independent columns of the elementwise step, so
 the outputs are bitwise the same for any number of CPUs.  A failure is
-reported as the whole ensemble would meet it: each slice stops at its first
-guard trip, and the earliest step over the slices is raised, with the
+reported as the whole ensemble would meet it.  A slice checks the guard
+once per noise block, on the Phi of every step in it, and stops with the
+exact step and peak of its first trip (the block's later steps ran on, and
+are discarded); the earliest step over the slices is raised, with the
 largest peak among the slices tripping there.  General weights
 always run as one slice, because the BLAS product rounds differently with
 the width and offset of a slice.  One slice, the rule's result on one CPU
@@ -90,9 +93,9 @@ from .bloch import AtomState
 from .errors import InstabilityError, ParameterError
 from .loop import LoopConfig, assert_discrete_stable, assert_stable, welch_spectrum
 
-# Steps of shot noise drawn per block.  The noise buffer and the current and
-# drive record buffers each hold NOISE_BLOCK steps of the whole ensemble
-# (8 * n * NOISE_BLOCK bytes), so memory does not grow with the run length.
+# Steps of shot noise drawn per block.  The two noise buffers each hold
+# NOISE_BLOCK steps of the whole ensemble (8 * n * NOISE_BLOCK bytes), so
+# memory does not grow with the run length.
 NOISE_BLOCK = 512
 # Generators fill their rows NOISE_TILE trajectories at a time, so that the
 # pass transposing a tile into step-major order reads from cache.
@@ -218,21 +221,21 @@ def _raise_first_failure(cfg: TrajectoryConfig, failures) -> None:
 def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int):
     """Step trajectories [lo, hi) in lockstep, writing their rows of the
     output arrays.  Returns None, or the first guard trip as (step, peak)
-    where the rows are left partly written."""
+    where the rows are left partly written.  The guard reads each noise
+    block's Phi rows once the block is stepped (see the module docstring)."""
     cfg = plan.cfg
     n = hi - lo
     dt = cfg.dt
-    n_steps, mask, weights = plan.n_steps, plan.mask, plan.weights
+    n_steps, weights = plan.n_steps, plan.weights
     records = records[lo:hi]
-    currents = currents[lo:hi] if currents is not None else None
+    cur_t = currents[lo:hi].T if currents is not None else None
     drives = drives[lo:hi] if drives is not None else None
 
     g = cfg.loop.g
     eta, eps = cfg.loop.eta, cfg.loop.eps
     m = weights.size
-    m_warm = int(round(cfg.loop.filter.tau / dt))
+    start = int(round(cfg.loop.filter.tau / dt)) if g != 0.0 else n_steps  # first fed-back step
     general = plan.filter_mode == "general"
-    feedback = g != 0.0
     guard = cfg.phi_guard
     a = 1.0 - 0.5 * dt
     # Scalar operands as 0-d float64 arrays: a Python float or numpy scalar
@@ -251,117 +254,122 @@ def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int):
     # Lag weights of step k, w_j at ring row (k - j) % m, are the window
     # [o, o + m) of the reversed weights repeated twice, o = (-k) % m.
     lag_table = np.concatenate((weights[::-1], weights[::-1]))
+    rec_steps = np.flatnonzero(plan.mask).tolist()
 
     rngs = [np.random.default_rng(cfg.seed ^ i) for i in range(lo, hi)]
 
     state = np.repeat(cfg.initial_state.bloch[:, None], n, axis=1)
     x, y, z = state
-    xy, xz, zx = state[:2], state[::2], state[2::-2]
     ring = np.zeros((m, n))
+    ring_rows = list(ring)
     hist_sum = np.zeros(n)  # geometric recursion state
-    phi = np.zeros(n)
-    b, p, q, one_z, tmp, aux, lagged = (np.empty(n) for _ in range(7))
-    trig, pair_a, pair_b = np.empty((2, n)), np.empty((2, n)), np.empty((2, n))
-    cos_t, sin_t = trig
+    zero = np.zeros(n)  # Phi before the feedback starts
+    b, p, q, one_z, tmp, aux, lagged, cos_t, sin_t = (np.empty(n) for _ in range(9))
 
     block = min(NOISE_BLOCK, n_steps)
     draws = np.empty((min(n, NOISE_TILE), block))
-    noise = np.empty((block, n))
-    cur_block = np.empty((block, n)) if currents is not None else None
-    drv_block = np.empty((block, n)) if drives is not None else None
+    # Step-major rows: dW / dt in `noise`, sqrt(eta eps) dW in `kicks`, whose
+    # row holds the step's Phi once the Kraus b has read it.
+    noise, kicks = np.empty((block, n)), np.empty((block, n))
 
     add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
     records[:, 0] = state.T
     rec = 1
-    for k0 in range(0, n_steps, block):
-        take = min(block, n_steps - k0)
-        # Each generator fills its own contiguous row of a cache-sized tile of
-        # trajectories; one transposed pass scales the tile into step-major
-        # increments of variance dt.
-        for c0 in range(0, n, NOISE_TILE):
-            tile = draws[: min(NOISE_TILE, n - c0)]
-            for row, rng in zip(tile, rngs[c0 : c0 + NOISE_TILE]):
-                rng.standard_normal(out=row[:take])
-            mul(tile[:, :take].T, sqrt_dt, noise[:take, c0 : c0 + tile.shape[0]])
+    # Steps after a guard trip run on in the block and may overflow; their
+    # values are discarded, so their warnings are not the caller's.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k0 in range(0, n_steps, block):
+            take = min(block, n_steps - k0)
+            # Each generator fills its own contiguous row of a cache-sized tile
+            # of trajectories; one transposed pass scales the tile into
+            # step-major increments of variance dt.
+            for c0 in range(0, n, NOISE_TILE):
+                tile = draws[: min(NOISE_TILE, n - c0)]
+                for row, rng in zip(tile, rngs[c0 : c0 + NOISE_TILE]):
+                    rng.standard_normal(out=row[:take])
+                mul(tile[:, :take].T, sqrt_dt, noise[:take, c0 : c0 + tile.shape[0]])
+            mul(noise[:take], meas_scale, kicks[:take])
+            div(noise[:take], dt64, noise[:take])
 
-        for j in range(take):
-            k = k0 + j
-            dw = noise[j]
-            if k >= m_warm and feedback:
-                if general:
-                    o = -k % m
-                    np.matmul(lag_table[o : o + m], ring, phi)
-                    mul(phi, fb_scale, phi)
+            for k, dw_dt, kick in zip(range(k0, k0 + take), noise, kicks):
+                # Kraus damping and conditioning, b = sqrt(eta eps) dy with
+                # dy = sqrt(eta eps) x dt + dW, p = (1 + z)/2 and a = 1 - dt/2:
+                #   q = 1 + p (b b + (1 - eta eps) dt - 1) + b x,   T = a a p + q
+                #   x <- (x + b (1 + z)) (a / T),  y <- y (a / T),  z <- (a a p - q) / T
+                # The grouping is part of the determinism contract: regrouping a
+                # sum or product changes the last bits of every output.
+                mul(x, cond_drift, tmp)
+                add(tmp, kick, b)
+                if k >= start:
+                    phi = kick  # its row holds this step's Phi from here on
+                    if general:
+                        o = -k % m
+                        np.matmul(lag_table[o : o + m], ring, phi)
+                        mul(phi, fb_scale, phi)
+                    else:
+                        mul(hist_sum, phi_scale, phi)
                 else:
-                    mul(hist_sum, phi_scale, phi)
-                np.abs(phi, tmp)
-                peak = float(np.maximum.reduce(tmp))
-                if peak > guard:
-                    return k, peak
+                    phi = zero
 
-            # The current meas_scale x + sqrt(eps) Phi + dW/dt goes straight
-            # into its ring slot once the slot's oldest sample has been read.
-            slot = ring[k % m]
-            if not general:
-                mul(slot, ratio_m, lagged)
-            mul(x, meas_scale, tmp)
-            mul(phi, sqrt_eps, aux)
-            add(tmp, aux, tmp)
-            div(dw, dt64, aux)
-            add(tmp, aux, slot)
-            if not general:
-                sub(slot, lagged, lagged)
-                hist_sum *= ratio
-                hist_sum += lagged
-            if cur_block is not None:
-                cur_block[j] = slot
-            if drv_block is not None:
-                drv_block[j] = phi
+                # The current meas_scale x + sqrt(eps) Phi + dW/dt goes straight
+                # into its ring slot once the slot's oldest sample has been read.
+                slot = ring_rows[k % m]
+                if not general:
+                    mul(slot, ratio_m, lagged)
+                mul(x, meas_scale, tmp)
+                mul(phi, sqrt_eps, aux)
+                add(tmp, aux, tmp)
+                add(tmp, dw_dt, slot)
+                if not general:
+                    sub(slot, lagged, lagged)
+                    hist_sum *= ratio
+                    hist_sum += lagged
+                if cur_t is not None:
+                    cur_t[k] = slot
 
-            # Kraus damping and conditioning, b = sqrt(eta eps) dy with
-            # dy = sqrt(eta eps) x dt + dW, p = (1 + z)/2 and a = 1 - dt/2:
-            #   q = 1 + p (b b + (1 - eta eps) dt - 1) + b x,   T = a a p + q
-            #   x <- (x + b (1 + z)) (a / T),  y <- y (a / T),  z <- (a a p - q) / T
-            # The grouping is part of the determinism contract: regrouping a
-            # sum or product changes the last bits of every output.
-            mul(x, cond_drift, b)
-            mul(dw, meas_scale, tmp)
-            add(b, tmp, b)
-            add(z, one, one_z)
-            mul(one_z, half, p)
-            mul(b, b, q)
-            add(q, no_click_m1, q)
-            mul(p, q, q)
-            add(q, one, q)
-            mul(b, x, tmp)
-            add(q, tmp, q)
-            mul(p, a_sq, p)
-            add(p, q, aux)
-            mul(b, one_z, tmp)
-            add(x, tmp, x)
-            div(a64, aux, tmp)
-            mul(xy, tmp, xy)
-            sub(p, q, z)
-            div(z, aux, z)
+                add(z, one, one_z)
+                mul(one_z, half, p)
+                mul(b, b, q)
+                add(q, no_click_m1, q)
+                mul(p, q, q)
+                add(q, one, q)
+                mul(b, x, tmp)
+                add(q, tmp, q)
+                mul(p, a_sq, p)
+                add(p, q, aux)
+                mul(b, one_z, tmp)
+                add(x, tmp, x)
+                div(a64, aux, tmp)
+                mul(x, tmp, x)
+                mul(y, tmp, y)
+                sub(p, q, z)
+                div(z, aux, z)
 
-            # Exact feedback rotation about y by sqrt(eta) Phi dt:
-            #   x <- x cos + z sin,  z <- z cos - x sin.
-            mul(phi, theta_scale, tmp)
-            np.cos(tmp, cos_t)
-            np.sin(tmp, sin_t)
-            mul(xz, trig, pair_a)
-            mul(zx, trig, pair_b)
-            add(pair_a[0], pair_a[1], x)
-            sub(pair_b[0], pair_b[1], z)
+                # Exact feedback rotation about y by sqrt(eta) Phi dt:
+                #   x <- x cos + z sin,  z <- z cos - x sin.
+                mul(phi, theta_scale, tmp)
+                np.cos(tmp, cos_t)
+                np.sin(tmp, sin_t)
+                mul(x, cos_t, p)
+                mul(z, sin_t, q)
+                mul(z, cos_t, aux)
+                mul(x, sin_t, one_z)
+                add(p, q, x)
+                sub(aux, one_z, z)
 
-            if mask[k + 1]:
-                records[:, rec] = state.T
-                rec += 1
+                if k + 1 == rec_steps[rec]:
+                    records[:, rec] = state.T
+                    rec += 1
 
-        if currents is not None:
-            currents[:, k0 : k0 + take] = cur_block[:take].T
-        if drives is not None:
-            drives[:, k0 : k0 + take] = drv_block[:take].T
+            phis = kicks[:take]
+            phis[: max(start - k0, 0)] = 0.0
+            if k0 + take > start:
+                peaks = np.maximum(phis.max(axis=1), -phis.min(axis=1))
+                over = np.flatnonzero(peaks > guard)
+                if over.size:
+                    return k0 + int(over[0]), float(peaks[over[0]])
+            if drives is not None:
+                drives[:, k0 : k0 + take] = phis.T
     return None
 
 
@@ -456,7 +464,11 @@ def _run_cuts(plan: _Plan, cuts: list[int], forked: bool) -> EnsembleResult:
     _raise_first_failure(cfg, failures)
 
     mean = records.mean(axis=0)
-    stderr = np.sqrt(records.var(axis=0, ddof=1) / n) if n > 1 else np.full_like(mean, np.nan)
+    sq_dev = np.zeros_like(mean)  # records.var(axis=0, ddof=1)'s row-by-row sum
+    for row in records:
+        dev = row - mean
+        sq_dev += dev * dev
+    stderr = np.sqrt(sq_dev / (n - 1) / n) if n > 1 else np.full_like(mean, np.nan)
     return EnsembleResult(
         times=rec_steps * cfg.dt,
         mean=mean,

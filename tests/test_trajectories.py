@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -22,6 +23,7 @@ from inloop.feedback import build_generator, propagate
 from inloop.loop import LoopConfig, LoopFilter, discrete_loop_transfer, simulate_classical_loop
 from inloop.trajectories import (
     MIN_SLICE,
+    NOISE_BLOCK,
     EnsembleResult,
     TrajectoryConfig,
     _plan,
@@ -467,6 +469,70 @@ def test_slice_failures_merge_to_the_whole_ensemble_failure(case):
         assert len(firsts) == 1 and len({peak for _, peak in failures}) == len(failures)
     else:
         assert len(firsts) == len(failures)
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["one_slice", "forked"])
+def test_stderr_is_bitwise_the_numpy_sample_variance(forked):
+    cfg = slice_config(GEOMETRIC, duration=0.02)
+    res = _run_cuts(_plan(cfg), ODD_CUTS if forked else [0, WIDE], forked=forked)
+    expected = np.sqrt(res.records.var(axis=0, ddof=1) / WIDE)
+    assert res.stderr.tobytes() == expected.tobytes()
+    single = run_ensemble(replace(cfg, n_traj=1))
+    assert np.isnan(single.stderr).all() and single.stderr.shape == single.mean.shape
+
+
+# Steps (after, overflow) of two spikes in one trajectory of a 1,300-step
+# run: the first trips the guard one step after it, the second, later in the
+# same noise block, overflows the steps that run on after the trip.
+BLOCK_TRIPS = {
+    "mid_block": (NOISE_BLOCK + 250, NOISE_BLOCK + 400),
+    "final_partial_block": (2 * NOISE_BLOCK + 100, 2 * NOISE_BLOCK + 200),
+}
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["one_slice", "forked"])
+@pytest.mark.parametrize("case", BLOCK_TRIPS)
+def test_block_guard_reports_the_first_trip_exactly(case, forked):
+    cfg = slice_config(GEOMETRIC, duration=0.13, initial_state=GROUND, phi_guard=5e3)
+    plan = _plan(cfg)
+    assert plan.n_steps % NOISE_BLOCK != 0
+    spike, overflow = BLOCK_TRIPS[case]
+    i = 100  # a forked worker's trajectory in ODD_CUTS
+    draw = REAL_RNG(cfg.seed ^ i).standard_normal(overflow + 1)[overflow]
+    spikes = [(i, spike, 1e4), (i, overflow, 1e300 / abs(draw * np.sqrt(cfg.dt)))]
+    # the first step over the guard in the drive record of a run without the
+    # overflowing spike and with a guard it never meets
+    with spiked_streams(cfg.seed, spikes[:1]):
+        drives = run_ensemble(replace(cfg, phi_guard=1e300, record_drive=True)).drives
+    peaks = np.abs(drives).max(axis=0)
+    step = int(np.argmax(peaks > cfg.phi_guard))
+    assert step == spike + 1
+    with warnings.catch_warnings(), spiked_streams(cfg.seed, spikes):
+        warnings.simplefilter("error", RuntimeWarning)
+        if not forked:
+            rows = np.empty((WIDE, np.count_nonzero(plan.mask), 3))
+            assert _run_slice(plan, rows, None, None, 0, WIDE) == (step, peaks[step])
+        with pytest.raises(InstabilityError) as exc:
+            _run_cuts(plan, ODD_CUTS if forked else [0, WIDE], forked=forked)
+    assert str(exc.value) == (
+        f"feedback drive |Phi| = {peaks[step]:.3g} exceeded the guard "
+        f"{cfg.phi_guard:.3g} at t = {step * cfg.dt:.4g}"
+    )
+
+
+def test_drive_record_is_zero_until_the_feedback_starts():
+    # the rectangular filter of 600 steps starts the feedback inside the
+    # second noise block
+    cfg = make_config(
+        loop=LoopConfig(g=-3.0, eps=0.95, eta=0.8, filter=LoopFilter.rectangular(6e-2)),
+        dt=1e-4, duration=0.15, n_traj=7, record_drive=True,
+    )
+    start = 600
+    drives = run_ensemble(cfg).drives
+    assert drives[:, :start].tobytes() == bytes(drives[:, :start].nbytes)
+    assert np.all(drives[:, start:] != 0.0)
+    open_loop = run_ensemble(replace(cfg, loop=replace(cfg.loop, g=0.0))).drives
+    assert open_loop.tobytes() == bytes(open_loop.nbytes)
 
 
 def test_first_failure_is_earliest_step_guard_first_then_largest_value():
