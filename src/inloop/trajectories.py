@@ -20,16 +20,26 @@ the fed-back noise independent of the concurrent measurement increment.
 
 Scheme notes
 ------------
-Damping and conditioning are one completely positive, trace-normalized
-Kraus step (P. Rouchon and J. F. Ralph, Phys. Rev. A 91, 012118 (2015)):
+Damping and conditioning are one completely positive Kraus step
+(P. Rouchon and J. F. Ralph, Phys. Rev. A 91, 012118 (2015)):
 
     rho <- [M rho M+ + (1 - eta eps) dt sigma rho sigma+] / trace
     M = I - sigma+ sigma dt/2 + sqrt(eta eps) sigma dy,
     dy = sqrt(eta eps) x dt + dW,
 
 which agrees with the Ito equation to first order in dt (the second-order
-term in sigma^2 vanishes for a two-level atom).  Every step maps a density
-matrix to a density matrix, so states stay in the Bloch ball for any dW and
+term in sigma^2 vanishes for a two-level atom).  The map is linear before
+the trace division, so the engine steps the unnormalized Bloch vector
+(tr, X, Y, Z) of rho, as linear quantum trajectories do (H. M. Wiseman,
+Quantum Semiclass. Opt. 8, 205 (1996)).  With s = tr + Z, a = 1 - dt/2,
+c0 = (a a + (1 - eta eps) dt - 1) / 2 and b = sqrt(eta eps) dy, x = X / tr,
+
+    X <- a (X + b s),  Y <- a Y,  tr <- tr + c0 s + b (X + b s / 2),  Z <- a a s - tr,
+
+and the state is divided by tr only at record steps and at the end of each
+noise block, where y = Y a^k / tr, k steps after the last division.  Each
+step maps a density matrix to a positive multiple of one (positivity by
+construction), so states stay in the Bloch ball for any dW and
 no purity check or projection is needed.  The feedback term is applied as
 an exact rotation about the y axis by the angle sqrt(eta) Phi dt, composed
 after the Kraus step.  The rotation must not be linearized: the drive
@@ -84,6 +94,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -93,9 +104,8 @@ from .bloch import AtomState
 from .errors import InstabilityError, ParameterError
 from .loop import LoopConfig, assert_discrete_stable, assert_stable, welch_spectrum
 
-# Steps of shot noise drawn per block.  The two noise buffers each hold
-# NOISE_BLOCK steps of the whole ensemble (8 * n * NOISE_BLOCK bytes), so
-# memory does not grow with the run length.
+# Steps of shot noise drawn per block.  The noise buffer holds NOISE_BLOCK
+# steps of a slice (8 * n * NOISE_BLOCK bytes), whatever the run length.
 NOISE_BLOCK = 512
 # Generators fill their rows NOISE_TILE trajectories at a time, so that the
 # pass transposing a tile into step-major order reads from cache.
@@ -140,10 +150,12 @@ class TrajectoryConfig:
             )
         if self.dt > 1e-2 + 1e-15:
             raise ParameterError(f"dt = {self.dt} must be at most 1e-2 lifetimes")
-        if self.n_traj < 1:
-            raise ParameterError("need at least one trajectory")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed}")
+        stride = 1 if self.record_stride is None else self.record_stride
+        for name, value, low in (("n_traj", self.n_traj, 1), ("seed", self.seed, 0),
+                                 ("record_stride", stride, 1)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                kind = "non-negative" if low == 0 else "positive"
+                raise ParameterError(f"{name} must be a {kind} integer, got {value!r}")
         if not 0.0 < self.phi_guard < np.inf:
             raise ParameterError(f"phi_guard must be positive and finite, got {self.phi_guard}")
         self.initial_state.validate()
@@ -151,8 +163,6 @@ class TrajectoryConfig:
 
     def stride(self) -> int:
         if self.record_stride is not None:
-            if self.record_stride < 1:
-                raise ParameterError("record_stride must be >= 1")
             return int(self.record_stride)
         return max(1, int(round(0.01 / self.dt)))
 
@@ -171,13 +181,6 @@ class EnsembleResult:
     records: np.ndarray | None = None
     currents: np.ndarray | None = None
     drives: np.ndarray | None = None
-
-
-def _record_mask(n_steps: int, stride: int) -> np.ndarray:
-    mask = np.zeros(n_steps + 1, dtype=bool)
-    mask[::stride] = True
-    mask[-1] = True
-    return mask
 
 
 def _filter_mode(weights: np.ndarray) -> tuple[str, float]:
@@ -218,11 +221,13 @@ def _raise_first_failure(cfg: TrajectoryConfig, failures) -> None:
     )
 
 
-def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int):
+def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int, empty=np.empty):
     """Step trajectories [lo, hi) in lockstep, writing their rows of the
     output arrays.  Returns None, or the first guard trip as (step, peak)
-    where the rows are left partly written.  The guard reads each noise
-    block's Phi rows once the block is stepped (see the module docstring)."""
+    where the rows are left partly written.  The completely positive linear
+    Kraus map steps each unnormalized (tr, X, Y, Z), divided by tr, with
+    y = Y a^k / tr, only at record steps and block ends; the guard reads
+    each block's Phi rows once the block is stepped (module docstring)."""
     cfg = plan.cfg
     n = hi - lo
     dt = cfg.dt
@@ -236,21 +241,20 @@ def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int):
     m = weights.size
     start = int(round(cfg.loop.filter.tau / dt)) if g != 0.0 else n_steps  # first fed-back step
     general = plan.filter_mode == "general"
-    guard = cfg.phi_guard
     a = 1.0 - 0.5 * dt
+    sqrt_eps = np.sqrt(eps)
+    # Phi = (g / sqrt(eps)) w_scale f_sum: f_sum is the ring's weighted sum or its recursion.
+    w_scale = 1.0 if general else weights[0]
     # Scalar operands as 0-d float64 arrays: a Python float or numpy scalar
     # operand costs a conversion on every ufunc call.
-    (ratio_m, ratio, fb_scale, meas_scale, sqrt_eps, theta_scale, cond_drift, no_click_m1,
-     a64, a_sq, dt64, half, one) = (
+    (ratio_m, ratio, psi_scale, theta_scale, meas_scale, b_scale, c0, a64, a_sq, half, sqrt_dt) = (
         np.array(v, dtype=np.float64)
         for v in (
-            plan.ratio**m, plan.ratio, g / np.sqrt(eps), np.sqrt(eta * eps), np.sqrt(eps),
-            np.sqrt(eta) * dt, eta * eps * dt, (1.0 - eta * eps) * dt - 1.0, a, a * a, dt, 0.5,
-            1.0,
+            plan.ratio**m, plan.ratio, g * w_scale, np.sqrt(eta) * dt * g / sqrt_eps * w_scale,
+            np.sqrt(eta * eps), np.sqrt(eta * eps) * dt,
+            0.5 * (a * a + (1.0 - eta * eps) * dt - 1.0), a, a * a, 0.5, np.sqrt(dt),
         )
     )
-    phi_scale = np.array(fb_scale * weights[0])
-    sqrt_dt = np.sqrt(dt)
     # Lag weights of step k, w_j at ring row (k - j) % m, are the window
     # [o, o + m) of the reversed weights repeated twice, o = (-k) % m.
     lag_table = np.concatenate((weights[::-1], weights[::-1]))
@@ -260,17 +264,19 @@ def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int):
 
     state = np.repeat(cfg.initial_state.bloch[:, None], n, axis=1)
     x, y, z = state
+    tr = np.ones(n)
+    normed = 0  # last step at which tr was 1
     ring = np.zeros((m, n))
     ring_rows = list(ring)
-    hist_sum = np.zeros(n)  # geometric recursion state
-    zero = np.zeros(n)  # Phi before the feedback starts
-    b, p, q, one_z, tmp, aux, lagged, cos_t, sin_t = (np.empty(n) for _ in range(9))
+    f_sum = np.zeros(n)
+    zero = np.zeros(n)  # sqrt(eps) Phi before the feedback starts
+    u, b, s, lagged, angle, cos_t, sin_t, t1, t2, t3, t4 = (np.empty(n) for _ in range(11))
 
     block = min(NOISE_BLOCK, n_steps)
     draws = np.empty((min(n, NOISE_TILE), block))
-    # Step-major rows: dW / dt in `noise`, sqrt(eta eps) dW in `kicks`, whose
-    # row holds the step's Phi once the Kraus b has read it.
-    noise, kicks = np.empty((block, n)), np.empty((block, n))
+    # Step-major rows of dW / dt; a step's row holds its sqrt(eps) Phi once
+    # u has read it.  It is allocated like the outputs (see _run_cuts).
+    noise = empty((block, n))
 
     add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
     records[:, 0] = state.T
@@ -280,96 +286,87 @@ def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k0 in range(0, n_steps, block):
             take = min(block, n_steps - k0)
-            # Each generator fills its own contiguous row of a cache-sized tile
-            # of trajectories; one transposed pass scales the tile into
-            # step-major increments of variance dt.
-            for c0 in range(0, n, NOISE_TILE):
-                tile = draws[: min(NOISE_TILE, n - c0)]
-                for row, rng in zip(tile, rngs[c0 : c0 + NOISE_TILE]):
+            # Each generator fills its own row of a cache-sized tile of
+            # trajectories; one transposed pass scales it into step-major dW / dt.
+            for col in range(0, n, NOISE_TILE):
+                tile = draws[: min(NOISE_TILE, n - col)]
+                for row, rng in zip(tile, rngs[col : col + NOISE_TILE]):
                     rng.standard_normal(out=row[:take])
-                mul(tile[:, :take].T, sqrt_dt, noise[:take, c0 : c0 + tile.shape[0]])
-            mul(noise[:take], meas_scale, kicks[:take])
-            div(noise[:take], dt64, noise[:take])
+                div(tile[:, :take].T, sqrt_dt, noise[:take, col : col + tile.shape[0]])
 
-            for k, dw_dt, kick in zip(range(k0, k0 + take), noise, kicks):
-                # Kraus damping and conditioning, b = sqrt(eta eps) dy with
-                # dy = sqrt(eta eps) x dt + dW, p = (1 + z)/2 and a = 1 - dt/2:
-                #   q = 1 + p (b b + (1 - eta eps) dt - 1) + b x,   T = a a p + q
-                #   x <- (x + b (1 + z)) (a / T),  y <- y (a / T),  z <- (a a p - q) / T
-                # The grouping is part of the determinism contract: regrouping a
-                # sum or product changes the last bits of every output.
-                mul(x, cond_drift, tmp)
-                add(tmp, kick, b)
-                if k >= start:
-                    phi = kick  # its row holds this step's Phi from here on
+            for k, row in zip(range(k0, k0 + take), noise):
+                # u = sqrt(eta eps) x + dW/dt is the current less its drive
+                # term, and the Kraus b = sqrt(eta eps) dy = sqrt(eta eps) dt u.
+                div(x, tr, u)
+                mul(u, meas_scale, u)
+                add(u, row, u)
+                mul(u, b_scale, b)
+                fed = k >= start
+                psi = row if fed else zero
+                if fed:
                     if general:
                         o = -k % m
-                        np.matmul(lag_table[o : o + m], ring, phi)
-                        mul(phi, fb_scale, phi)
-                    else:
-                        mul(hist_sum, phi_scale, phi)
-                else:
-                    phi = zero
+                        np.matmul(lag_table[o : o + m], ring, f_sum)
+                    mul(f_sum, psi_scale, psi)
+                    mul(f_sum, theta_scale, angle)
 
-                # The current meas_scale x + sqrt(eps) Phi + dW/dt goes straight
-                # into its ring slot once the slot's oldest sample has been read.
-                slot = ring_rows[k % m]
+                # The current u + sqrt(eps) Phi replaces the slot's oldest sample once read.
+                j = k % m
+                slot = ring_rows[j]
                 if not general:
                     mul(slot, ratio_m, lagged)
-                mul(x, meas_scale, tmp)
-                mul(phi, sqrt_eps, aux)
-                add(tmp, aux, tmp)
-                add(tmp, dw_dt, slot)
+                add(u, psi, slot)
                 if not general:
                     sub(slot, lagged, lagged)
-                    hist_sum *= ratio
-                    hist_sum += lagged
-                if cur_t is not None:
-                    cur_t[k] = slot
+                    f_sum *= ratio
+                    f_sum += lagged
+                if cur_t is not None and (j == m - 1 or k + 1 == n_steps):
+                    cur_t[k - j : k + 1] = ring[: j + 1]
 
-                add(z, one, one_z)
-                mul(one_z, half, p)
-                mul(b, b, q)
-                add(q, no_click_m1, q)
-                mul(p, q, q)
-                add(q, one, q)
-                mul(b, x, tmp)
-                add(q, tmp, q)
-                mul(p, a_sq, p)
-                add(p, q, aux)
-                mul(b, one_z, tmp)
-                add(x, tmp, x)
-                div(a64, aux, tmp)
-                mul(x, tmp, x)
-                mul(y, tmp, y)
-                sub(p, q, z)
-                div(z, aux, z)
+                # Linear Kraus step, s = tr + Z (see the module docstring).
+                add(tr, z, s)
+                mul(b, s, t1)
+                mul(t1, half, t2)
+                add(x, t2, t2)
+                add(x, t1, x)
+                mul(x, a64, x)
+                mul(s, c0, t1)
+                add(tr, t1, tr)
+                mul(b, t2, t2)
+                add(tr, t2, tr)
+                mul(s, a_sq, z)
+                sub(z, tr, z)
 
-                # Exact feedback rotation about y by sqrt(eta) Phi dt:
-                #   x <- x cos + z sin,  z <- z cos - x sin.
-                mul(phi, theta_scale, tmp)
-                np.cos(tmp, cos_t)
-                np.sin(tmp, sin_t)
-                mul(x, cos_t, p)
-                mul(z, sin_t, q)
-                mul(z, cos_t, aux)
-                mul(x, sin_t, one_z)
-                add(p, q, x)
-                sub(aux, one_z, z)
+                if fed:
+                    # Exact rotation about y: X <- X cos + Z sin, Z <- Z cos - X sin.
+                    np.cos(angle, cos_t)
+                    np.sin(angle, sin_t)
+                    mul(x, cos_t, t1)
+                    mul(z, sin_t, t2)
+                    mul(z, cos_t, t3)
+                    mul(x, sin_t, t4)
+                    add(t1, t2, x)
+                    sub(t3, t4, z)
 
-                if k + 1 == rec_steps[rec]:
-                    records[:, rec] = state.T
-                    rec += 1
+                if k + 1 == rec_steps[rec] or k + 1 == k0 + take:
+                    mul(y, a ** (k + 1 - normed), y)
+                    div(state, tr, state)
+                    tr.fill(1.0)
+                    normed = k + 1
+                    if k + 1 == rec_steps[rec]:
+                        records[:, rec] = state.T
+                        rec += 1
 
-            phis = kicks[:take]
-            phis[: max(start - k0, 0)] = 0.0
+            rows = noise[:take]
+            rows[: max(start - k0, 0)] = 0.0
             if k0 + take > start:
-                peaks = np.maximum(phis.max(axis=1), -phis.min(axis=1))
-                over = np.flatnonzero(peaks > guard)
+                peaks = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+                div(peaks, sqrt_eps, peaks)
+                over = np.flatnonzero(peaks > cfg.phi_guard)
                 if over.size:
                     return k0 + int(over[0]), float(peaks[over[0]])
             if drives is not None:
-                drives[:, k0 : k0 + take] = phis.T
+                div(rows.T, sqrt_eps, drives[:, k0 : k0 + take])
     return None
 
 
@@ -441,7 +438,9 @@ def _plan(cfg: TrajectoryConfig) -> _Plan:
     n_steps = int(round(cfg.duration / cfg.dt))
     if n_steps < 1:
         raise ParameterError("duration shorter than one step")
-    mask = _record_mask(n_steps, cfg.stride())
+    mask = np.zeros(n_steps + 1, dtype=bool)  # the recorded steps
+    mask[:: cfg.stride()] = True
+    mask[-1] = True
     weights = assert_discrete_stable(cfg.loop.filter, cfg.loop.g, cfg.dt)
     return _Plan(cfg, n_steps, mask, weights, *_filter_mode(weights))
 
@@ -451,12 +450,13 @@ def _run_cuts(plan: _Plan, cuts: list[int], forked: bool) -> EnsembleResult:
     in forked workers or one after another in this process, then reduce."""
     cfg = plan.cfg
     n = cfg.n_traj
+    # Forked runs map outputs and noise buffers: the heap would keep the latter.
     empty = _shared_empty if forked else np.empty
     rec_steps = np.nonzero(plan.mask)[0]
     records = empty((n, rec_steps.size, 3))
     currents = empty((n, plan.n_steps)) if cfg.record_current else None
     drives = empty((n, plan.n_steps)) if cfg.record_drive else None
-    run_slice = functools.partial(_run_slice, plan, records, currents, drives)
+    run_slice = functools.partial(_run_slice, plan, records, currents, drives, empty=empty)
     if forked:
         failures = _run_forked(run_slice, cuts)
     else:

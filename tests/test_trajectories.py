@@ -176,6 +176,18 @@ def test_config_validation():
         make_config(seed=-1).validate()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_traj", 10.0), ("n_traj", True), ("seed", 1.0), ("seed", None), ("record_stride", 2.5),
+     ("record_stride", 0)],
+)
+def test_config_rejects_non_integer_counts(field, value):
+    # a count that is not an integer is a domain error, whatever its type
+    with pytest.raises(ParameterError, match=f"{field} must be a (positive|non-negative) integer"):
+        make_config(**{field: value}).validate()
+    make_config(n_traj=np.int64(3), seed=np.uint32(5), record_stride=np.int32(2)).validate()
+
+
 @pytest.mark.parametrize("guard", [0.0, -1.0, np.inf, np.nan])
 def test_config_rejects_nonpositive_or_nonfinite_phi_guard(guard):
     # an infinite guard lets an overflowing drive turn states NaN
@@ -332,6 +344,73 @@ def test_closed_loop_engine_matches_scalar_oracle(filt, g, dt, duration):
         np.testing.assert_allclose(res.records[i], states, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(res.currents[i], currents, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(res.drives[i], drives, rtol=1e-12, atol=1e-12)
+
+
+def scalar_oracle_run(cfg, i, n_steps):
+    """States, currents and drives of trajectory i by step_conditioned and
+    feedback_drive, driven by its engine noise stream."""
+    loop, dt = cfg.loop, cfg.dt
+    dws = np.random.default_rng(cfg.seed ^ i).standard_normal(n_steps) * np.sqrt(dt)
+    m_warm = int(round(loop.filter.tau / dt))
+    s = cfg.initial_state
+    states, currents, drives = [s.bloch], [], []
+    for k in range(n_steps):
+        phi = feedback_drive(currents, loop.filter, loop.g, loop.eps, dt) if k >= m_warm else 0.0
+        currents.append(mean_current(s, phi, loop.eta, loop.eps) + dws[k] / dt)
+        drives.append(phi)
+        s = step_conditioned(s, phi, dws[k], dt, loop.eta, loop.eps)
+        states.append(s.bloch)
+    return np.array(states), currents, drives
+
+
+@pytest.mark.parametrize(
+    "filt, g, dt",
+    [
+        (LoopFilter.rectangular(1e-2), -3.0, 1e-3),  # uniform weights, 10 taps
+        (LoopFilter.single_pole(5e-3), -3.0, 5e-4),  # geometric weights, 230 taps
+        (LoopFilter.from_samples(5e-3, SWEEP_SAMPLES), -19.0, 1e-4),  # general, 50 taps
+    ],
+    ids=["uniform", "geometric", "general"],
+)
+def test_strided_records_over_several_blocks_match_scalar_oracle(filt, g, dt):
+    # more than three noise blocks with a record stride that divides neither
+    # the block nor the run: a record divides a state carried undivided for
+    # up to 36 steps, and current chunks cross block ends
+    n_steps = 3 * NOISE_BLOCK + 77
+    cfg = make_config(
+        loop=LoopConfig(g=g, eps=0.95, eta=0.8, filter=filt),
+        dt=dt, duration=n_steps * dt, n_traj=2, seed=43,
+        initial_state=AtomState(0.6, -0.3, 0.5), record_stride=37,
+        record_current=True, record_drive=True, phi_guard=1e5,
+    )
+    res = run_ensemble(cfg)
+    mask = _plan(cfg).mask
+    assert res.n_steps == n_steps and np.count_nonzero(mask) == n_steps // 37 + 2
+    for i in range(cfg.n_traj):
+        states, currents, drives = scalar_oracle_run(cfg, i, n_steps)
+        np.testing.assert_allclose(res.records[i], states[mask], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(res.currents[i], currents, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(res.drives[i], drives, rtol=1e-12, atol=1e-12)
+
+
+def test_states_divided_only_at_block_ends_stay_in_the_ball():
+    # the longest step, a strong loop, one kick of 1e3 standard deviations
+    # and a stride longer than the run, so that between its first and last
+    # step the state is divided by its trace only at block ends.  Over these
+    # 3,500 lifetimes the undivided trace would grow past the float range.
+    cfg = make_config(
+        loop=LoopConfig(g=-19.0, eps=0.95, eta=0.8, filter=LoopFilter.single_pole(0.1)),
+        dt=1e-2, duration=3500.0, n_traj=2, seed=29, initial_state=AtomState(0.6, 0.5, -0.3),
+        record_stride=10**6, record_current=True, record_drive=True, phi_guard=1e6,
+    )
+    with warnings.catch_warnings(), spiked_streams(cfg.seed, [(1, NOISE_BLOCK + 100, 1e3)]):
+        warnings.simplefilter("error", RuntimeWarning)
+        res = run_ensemble(cfg)
+    assert res.records.shape[1] == 2
+    assert np.isfinite(res.records).all()
+    assert np.max(np.sum(res.records**2, axis=2)) <= 1.0
+    assert np.isfinite(res.currents).all() and np.isfinite(res.drives).all()
+    assert np.abs(res.drives).max() > 1e3  # the kick reached the drive
 
 
 # -- trajectory slices -------------------------------------------------------
