@@ -55,16 +55,6 @@ def _outdir(args) -> Path:
     return path
 
 
-def _filter_from(kind: str, tau: float, time_constant: float | None) -> LoopFilter:
-    if kind == "rectangular":
-        return LoopFilter.rectangular(tau)
-    if kind == "exponential":
-        return LoopFilter.exponential(tau, time_constant)
-    if kind == "single_pole":
-        return LoopFilter.single_pole(tau)
-    raise ParameterError(f"unsupported filter kind {kind!r}")
-
-
 def _omega_grid(lo: float, hi: float, points: int) -> np.ndarray:
     if points < 1:
         raise ParameterError(f"--points must be at least 1, got {points}")
@@ -121,7 +111,7 @@ def _read_run_config(args, keys, command: str) -> tuple[dict, LoopConfig]:
         raise ConfigError("stochastic run needs a seed (--seed or config key)")
     if run["nperseg"] is not None:
         check_nperseg(run["nperseg"])
-    filt = _filter_from(run["filter"], run["tau"], run["time_constant"])
+    filt = LoopFilter(run["filter"], run["tau"], time_constant=run["time_constant"])
     loop = LoopConfig(g=run["g"], eps=run["eps"], eta=run["eta"], filter=filt)
     return {k: v for k, v in run.items() if v is not None}, loop
 
@@ -169,7 +159,7 @@ def cmd_rates(args) -> int:
 
 
 def cmd_loop_spectrum(args) -> int:
-    filt = _filter_from(args.filter, args.tau, args.time_constant)
+    filt = LoopFilter(args.filter, args.tau, time_constant=args.time_constant)
     cfg = LoopConfig(g=args.g, eps=args.eps, eta=args.eta, filter=filt)
     omega = _omega_grid(args.omega_min, args.omega_max, args.points)
     values = in_loop_spectrum(cfg, omega) if args.quantity == "in" else homodyne_spectrum(cfg, omega)
@@ -321,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", default="rectangular",
                    choices=["rectangular", "exponential", "single_pole"])
     p.add_argument("--tau", type=float, required=True, help="filter delay / time constant")
-    p.add_argument("--time-constant", type=float, help="decay constant of the exponential filter")
+    p.add_argument("--time-constant", type=float,
+                   help="decay constant of the exponential filter (default tau/4)")
     p.add_argument("--quantity", choices=["in", "hom"], default="in")
     p.add_argument("--omega-min", type=float, default=0.0)
     p.add_argument("--omega-max", type=float, required=True)

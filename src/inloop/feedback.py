@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import AtomOperator, AtomState, coupling_commutator, dissipator
-from .errors import ParameterError
+from .errors import ParameterError, feedback_strength, fraction
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,9 @@ def rates(lam: float, eta: float, eps: float) -> RateSet:
     Positive lam broadens the x quadrature, negative lam narrows it;
     gamma_x is minimal at lam = -eta eps where it equals (1 - eta eps)/2.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ParameterError(f"mode matching eta must be in (0, 1], got {eta}")
-    if not 0.0 < eps <= 1.0:
-        raise ParameterError(f"detector efficiency eps must be in (0, 1], got {eps}")
-    if not lam > -eta:
-        raise ParameterError(
-            f"feedback strength lam must exceed -eta = {-eta} (got {lam}); "
-            "stronger values are unreachable for any stable gain"
-        )
+    fraction("mode matching eta", eta)
+    fraction("detector efficiency eps", eps)
+    feedback_strength(lam, eta)
     gx = 0.5 * (1.0 + 2.0 * lam + lam * lam / (eta * eps))
     gy = 0.5
     return RateSet(gamma_x=gx, gamma_y=gy, gamma_z=gx + gy, C=1.0 + lam)

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstabilityError, ParameterError
+from .errors import count, feedback_strength, fraction, positive
 
 # Stability-scan frequencies in units of 1/tau, log spaced over [1e-3, 1e3].
 UNIT_STABILITY_GRID = np.logspace(-3.0, 3.0, 4096)
@@ -68,7 +69,8 @@ class LoopFilter:
     kinds
     -----
     rectangular : h = 1/tau on [0, tau]
-    exponential : h ~ exp(-s/time_constant) truncated to [0, tau]
+    exponential : h ~ exp(-s/time_constant) truncated to [0, tau]; the one
+                  kind with a time constant (default tau/4)
     single_pole : h = exp(-s/tau)/tau on [0, inf) (tau is the time
                   constant; the one kind without strict support [0, tau])
     sampled     : user samples on a uniform grid over [0, tau],
@@ -81,15 +83,18 @@ class LoopFilter:
     samples: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.tau < np.inf:
-            raise ParameterError(f"filter delay tau must be positive and finite, got {self.tau}")
+        positive("filter delay tau", self.tau)
         if self.kind not in ("rectangular", "exponential", "single_pole", "sampled"):
             raise ParameterError(f"unknown filter kind {self.kind!r}")
-        if self.kind == "exponential" and not 0.0 < (self.time_constant or 0.0) < np.inf:
-            raise ParameterError(
-                f"exponential filter needs a positive, finite time constant, "
-                f"got {self.time_constant}"
-            )
+        if self.kind == "exponential":
+            tc = self.tau / 4.0 if self.time_constant is None else self.time_constant
+            if not 0.0 < tc < np.inf:
+                raise ParameterError(
+                    f"exponential filter needs a positive, finite time constant, got {tc}"
+                )
+            object.__setattr__(self, "time_constant", tc)
+        elif self.time_constant is not None:
+            raise ParameterError(f"a {self.kind} filter takes no time constant")
         if self.kind == "sampled":
             s = np.asarray(self.samples, dtype=float)
             if s.ndim != 1 or s.size < 2:
@@ -110,7 +115,7 @@ class LoopFilter:
 
     @classmethod
     def exponential(cls, tau: float, time_constant: float | None = None) -> "LoopFilter":
-        return cls("exponential", tau, time_constant=time_constant or tau / 4.0)
+        return cls("exponential", tau, time_constant=time_constant)
 
     @classmethod
     def single_pole(cls, time_constant: float) -> "LoopFilter":
@@ -207,8 +212,7 @@ class LoopFilter:
         are renormalized to sum exactly to 1 so the discrete loop has
         low-frequency gain exactly g.
         """
-        if not 0.0 < dt < np.inf:
-            raise ParameterError(f"dt must be positive and finite, got {dt}")
+        positive("dt", dt)
         span = self.support_duration()
         m = int(round(span / dt))
         if m < 1 or dt > span / 2:
@@ -236,10 +240,8 @@ class LoopConfig:
     def __post_init__(self):
         if not np.isfinite(self.g):
             raise ParameterError(f"round-loop gain g must be finite, got {self.g}")
-        if not 0.0 < self.eps <= 1.0:
-            raise ParameterError(f"detector efficiency eps must be in (0, 1], got {self.eps}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ParameterError(f"mode matching eta must be in [0, 1], got {self.eta}")
+        fraction("detector efficiency eps", self.eps)
+        fraction("mode matching eta", self.eta, zero=True)
 
 
 def _real_axis_max(resp: np.ndarray, on_axis: np.ndarray) -> float:
@@ -308,44 +310,33 @@ def homodyne_spectrum(cfg: LoopConfig, omega) -> np.ndarray:
 def optimal_gain(eps: float) -> float:
     """Gain g = -eps/(1 - eps) minimizing the flat-band in-loop spectrum;
     the minimum value is 1 - eps."""
-    if not 0.0 < eps < 1.0:
-        if eps == 1.0:
-            raise ParameterError("perfect detection: infinite optimal gain")
-        raise ParameterError(f"detector efficiency must be in (0, 1), got {eps}")
+    fraction("detector efficiency eps", eps)
+    if eps == 1.0:
+        raise ParameterError("perfect detection: infinite optimal gain")
     return -eps / (1.0 - eps)
 
 
 def lambda_from_gain(g: float, eta: float) -> float:
     """Feedback strength lam = g eta / (1 - g) in (-eta, inf) for g < 1."""
-    if g >= 1.0:
-        raise ParameterError(f"round-loop gain must satisfy g < 1, got {g}")
-    if not 0.0 < eta <= 1.0:
-        raise ParameterError(f"mode matching eta must be in (0, 1], got {eta}")
+    if not -np.inf < g < 1.0:
+        raise ParameterError(f"round-loop gain g must be finite and below 1, got {g}")
+    fraction("mode matching eta", eta)
     return g * eta / (1.0 - g)
 
 
 def gain_from_lambda(lam: float, eta: float) -> float:
     """Inverse of `lambda_from_gain`: g = lam / (eta + lam)."""
-    if not 0.0 < eta <= 1.0:
-        raise ParameterError(f"mode matching eta must be in (0, 1], got {eta}")
-    if lam <= -eta:
-        raise ParameterError(
-            f"unreachable feedback strength: lam must exceed -eta = {-eta}, got {lam}"
-        )
+    fraction("mode matching eta", eta)
+    feedback_strength(lam, eta)
     return lam / (eta + lam)
 
 
 def squeezing_from_lambda(lam: float, eta: float, eps: float) -> float:
     """Flat-band in-loop squeezing S = 1 + 2 lam/eta + lam^2/(eta^2 eps),
     identical to S_in at h~ = 1 for the corresponding gain."""
-    if not 0.0 < eta <= 1.0:
-        raise ParameterError(f"mode matching eta must be in (0, 1], got {eta}")
-    if not 0.0 < eps <= 1.0:
-        raise ParameterError(f"detector efficiency eps must be in (0, 1], got {eps}")
-    if lam <= -eta:
-        raise ParameterError(
-            f"unreachable feedback strength: lam must exceed -eta = {-eta}, got {lam}"
-        )
+    fraction("mode matching eta", eta)
+    fraction("detector efficiency eps", eps)
+    feedback_strength(lam, eta)
     return 1.0 + 2.0 * lam / eta + lam * lam / (eta * eta * eps)
 
 
@@ -452,10 +443,8 @@ def simulate_classical_loop(
     thread, so the records do not depend on the BLAS thread count.  Welch
     estimates of X and I converge to S_in and S_hom.
     """
-    if seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
-    if not (0.0 < dt < np.inf and 0.0 < duration < np.inf):
-        raise ParameterError(f"dt and duration must be positive and finite, got {dt}, {duration}")
+    count("seed", seed, zero=True)
+    positive("dt and duration", dt, duration)
     assert_stable(cfg)
     span = cfg.filter.support_duration()
     if dt > span / 10.0:

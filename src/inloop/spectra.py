@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import AtomOperator
-from .errors import ParameterError
+from .errors import ParameterError, positive
 from .feedback import AffineGenerator, RateSet, rates
 from .squeezed_bath import free_rates
 
@@ -133,6 +133,7 @@ def numerical_power_spectrum(
             f"tau_max = {tau_max:.3g} under-resolves the slowest decay; "
             f"need tau_max >= {20.0 / g_min:.3g}"
         )
+    positive("tau_max", tau_max)
     if dtau * g_max > 0.02:
         raise ParameterError(
             f"dtau = {dtau:.3g} under-resolves the fastest decay; "

@@ -29,16 +29,14 @@ L = 2N + 2M + 1), the conversion is closed form:
 from __future__ import annotations
 
 from .bloch import AtomOperator, dissipator
-from .errors import ParameterError
+from .errors import fraction, positive
 from .feedback import AffineGenerator, RateSet
 
 
 def free_rates(eta: float, level: float) -> RateSet:
     """Closed-form decay rates for a free squeezed bath of X level L."""
-    if not 0.0 <= eta <= 1.0:
-        raise ParameterError(f"mode matching eta must be in [0, 1], got {eta}")
-    if not level > 0.0:
-        raise ParameterError(f"X-quadrature level L must be positive, got {level}")
+    fraction("mode matching eta", eta, zero=True)
+    positive("X-quadrature level L", level)
     gx = 0.5 * ((1.0 - eta) + eta * level)
     gy = 0.5 * ((1.0 - eta) + eta / level)
     return RateSet(gamma_x=gx, gamma_y=gy, gamma_z=gx + gy, C=1.0)
@@ -48,8 +46,7 @@ def photon_parameters(level: float) -> tuple[float, float]:
     """(N, M) of the minimum-uncertainty bath with X level L:
     N = (L-1)^2/(4L), M = (L^2-1)/(4L); M carries the sign of L - 1 and
     2N + 2M + 1 = L holds exactly."""
-    if not level > 0.0:
-        raise ParameterError(f"X-quadrature level L must be positive, got {level}")
+    positive("X-quadrature level L", level)
     n = (level - 1.0) ** 2 / (4.0 * level)
     m = (level * level - 1.0) / (4.0 * level)
     return n, m

@@ -94,14 +94,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import AtomState
-from .errors import InstabilityError, ParameterError
+from .errors import InstabilityError, ParameterError, count, positive
 from .loop import LoopConfig, assert_discrete_stable, assert_stable, welch_spectrum
 
 # Steps of shot noise drawn per block.  The noise buffer holds NOISE_BLOCK
@@ -139,10 +138,7 @@ class TrajectoryConfig:
 
     def validate(self) -> "TrajectoryConfig":
         tau = self.loop.filter.tau
-        if not (0.0 < self.dt < np.inf and 0.0 < self.duration < np.inf):
-            raise ParameterError(
-                f"dt and duration must be positive and finite, got {self.dt}, {self.duration}"
-            )
+        positive("dt and duration", self.dt, self.duration)
         if self.dt > tau / 10.0 + 1e-15:
             raise ParameterError(
                 f"dt = {self.dt} must be at most tau/10 = {tau / 10.0:.3g} "
@@ -150,14 +146,10 @@ class TrajectoryConfig:
             )
         if self.dt > 1e-2 + 1e-15:
             raise ParameterError(f"dt = {self.dt} must be at most 1e-2 lifetimes")
-        stride = 1 if self.record_stride is None else self.record_stride
-        for name, value, low in (("n_traj", self.n_traj, 1), ("seed", self.seed, 0),
-                                 ("record_stride", stride, 1)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                kind = "non-negative" if low == 0 else "positive"
-                raise ParameterError(f"{name} must be a {kind} integer, got {value!r}")
-        if not 0.0 < self.phi_guard < np.inf:
-            raise ParameterError(f"phi_guard must be positive and finite, got {self.phi_guard}")
+        count("n_traj", self.n_traj)
+        count("seed", self.seed, zero=True)
+        count("record_stride", 1 if self.record_stride is None else self.record_stride)
+        positive("phi_guard", self.phi_guard)
         self.initial_state.validate()
         return self
 

@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, exit codes, config handling, and the
 reproducibility contracts (golden determinism, manifest round trip)."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,8 +13,10 @@ import pytest
 
 from inloop.errors import InstabilityError
 from inloop.feedback import build_generator
-from inloop.cli import _filter_from, build_parser, main
-from inloop.loop import LoopConfig, assert_discrete_stable, assert_stable, lambda_from_gain
+from inloop.cli import build_parser, main
+from inloop.loop import (
+    LoopConfig, LoopFilter, assert_discrete_stable, assert_stable, lambda_from_gain,
+)
 from inloop.output import write_csv
 from inloop.spectra import analytic_power_spectrum, numerical_power_spectrum
 from inloop.squeezed_bath import build_squeezed_generator
@@ -56,10 +59,17 @@ def run_cli(*args, cwd):
     )
 
 
+def strict_json(text):
+    """Parse a report, failing on the non-JSON constants NaN and +-Infinity."""
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant} in the report")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_rates_feedback_model(tmp_path):
     r = run_cli("rates", "--eta", "0.8", "--eps", "0.95", "--g", "-19", cwd=tmp_path)
     assert r.returncode == 0
-    report = json.loads(r.stdout)["feedback"]
+    report = strict_json(r.stdout)["feedback"]
     assert abs(report["gamma_x"] - 0.12) < 1e-12
     assert report["gamma_y"] == 0.5
     assert abs(report["S_in"] - 0.05) < 1e-12
@@ -70,7 +80,7 @@ def test_rates_feedback_model(tmp_path):
 def test_rates_free_model(tmp_path):
     r = run_cli("rates", "--eta", "0.8", "--L", "0.05", cwd=tmp_path)
     assert r.returncode == 0
-    report = json.loads(r.stdout)["free"]
+    report = strict_json(r.stdout)["free"]
     assert abs(report["gamma_x"] - 0.12) < 1e-12
     assert abs(report["gamma_y"] - 8.1) < 1e-12
     assert abs(report["N"] - 4.5125) < 1e-10
@@ -80,7 +90,7 @@ def test_rates_free_model(tmp_path):
 def test_rates_natural_linewidth(tmp_path):
     r = run_cli("rates", "--eta", "0.8", "--eps", "0.95", "--lambda", "0", cwd=tmp_path)
     assert r.returncode == 0
-    report = json.loads(r.stdout)["feedback"]
+    report = strict_json(r.stdout)["feedback"]
     assert (report["gamma_x"], report["gamma_y"], report["gamma_z"]) == (0.5, 0.5, 1.0)
 
 
@@ -95,6 +105,24 @@ def test_rates_requires_exactly_one_of_lambda_or_g(tmp_path):
     assert r.returncode == 4
     assert "--lambda or --g" in r.stderr
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--L", "inf"], "X-quadrature level L must be positive and finite, got inf"),
+        (["--eps", "0.95", "--lambda", "inf"],
+         "feedback strength lam must be finite and exceed -eta = -0.8, got inf"),
+    ],
+    ids=["L-inf", "lambda-inf"],
+)
+def test_rates_rejects_non_finite_report_values(tmp_path, monkeypatch, capsys, args, message):
+    # the report would hold Infinity or NaN, which are not JSON
+    monkeypatch.chdir(tmp_path)
+    assert main(["rates", "--eta", "0.8", *args]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"parameter error: {message}" in err
 
 
 def test_rates_domain_error_exit_code(tmp_path):
@@ -224,10 +252,20 @@ def test_spectrum_csv_matches_library(tmp_path, model, method):
         (["spectrum", "--model", "free", "--eta", "0.8", "--L", "0.05", "--omega-max", "nan",
           "--points", "3"],
          "spectrum.csv", "frequency grid bounds must be finite, got nan, nan"),
+        (["spectrum", "--model", "feedback", "--eta", "0.8", "--eps", "0.95", "--g", "-19",
+          "--method", "numerical", "--tau-max", "nan"],
+         "spectrum.csv", "tau_max must be positive and finite, got nan"),
+        (["spectrum", "--model", "feedback", "--eta", "0.8", "--eps", "0.95", "--g", "-19",
+          "--method", "numerical", "--tau-max", "inf"],
+         "spectrum.csv", "tau_max must be positive and finite, got inf"),
+        (["loop-spectrum", "--eta", "0.8", "--eps", "0.95", "--g", "-19", "--tau", "1",
+          "--filter", "rectangular", "--time-constant", "0.3", "--omega-max", "3"],
+         "loop_spectrum.csv", "a rectangular filter takes no time constant"),
     ],
     ids=["loop-spectrum-points", "spectrum-points", "spectrum-zero-points",
          "zero-dtau", "negative-dtau", "zero-tau-max", "feedback-with-L", "free-with-eps-g",
-         "free-with-lambda", "loop-spectrum-nan-omega-min", "spectrum-nan-omega-max"],
+         "free-with-lambda", "loop-spectrum-nan-omega-min", "spectrum-nan-omega-max",
+         "nan-tau-max", "inf-tau-max", "rectangular-time-constant"],
 )
 def test_bad_grid_arguments_are_domain_errors(tmp_path, args, csv, message):
     r = run_cli(*args, "--outdir", str(tmp_path), cwd=tmp_path)
@@ -349,9 +387,12 @@ def test_loop_spectrum_rejects_non_finite_parameters_without_output(tmp_path, ar
          "dt and duration must be positive and finite, got nan, 0.2"),
         ("trajectories", TRAJ_CONFIG.replace("duration = 0.2", "duration = inf"),
          "dt and duration must be positive and finite, got 0.0001, inf"),
+        ("loop-sim", LOOP_CONFIG.replace("rectangular", "exponential\ntime_constant = 0"),
+         "exponential filter needs a positive, finite time constant, got 0.0"),
     ],
     ids=["loop-sim-g", "loop-sim-dt", "loop-sim-duration", "trajectories-g",
-         "trajectories-tau", "trajectories-dt", "trajectories-duration"],
+         "trajectories-tau", "trajectories-dt", "trajectories-duration",
+         "loop-sim-zero-time-constant"],
 )
 def test_non_finite_run_parameters_are_domain_errors_without_output(
     tmp_path, command, config, message
@@ -477,7 +518,7 @@ def _random_run_config(command: str, rng: np.random.Generator) -> dict:
                "eta": float(rng.uniform(0.0, 1.0)), "filter": kind, "tau": tau, "dt": dt}
         if kind == "exponential" and rng.random() < 0.5:
             run["time_constant"] = tau * float(rng.uniform(0.1, 1.0))
-        filt = _filter_from(kind, tau, run.get("time_constant"))
+        filt = LoopFilter(kind, tau, time_constant=run.get("time_constant"))
         try:
             assert_stable(LoopConfig(run["g"], run["eps"], run["eta"], filt))
             assert_discrete_stable(filt, run["g"], dt)
@@ -661,3 +702,67 @@ def test_write_csv_cells_are_13_digit_exponent_notation(tmp_path):
     assert (tmp_path / "b.csv").read_text() == "x\n2.500000000000e-01\n"
     write_csv(tmp_path / "c.csv", {"x": np.array([]), "y": np.array([])}, comments=["empty"])
     assert (tmp_path / "c.csv").read_text() == "# empty\nx,y\n"
+
+
+# Argvs that exit 0, as "--flag=value" tokens so that a value may start with
+# "-"; together they set every float option of every subcommand.
+SWEEP_BASELINES = {
+    "rates": [["--eta=0.8", "--eps=0.95", "--lambda=-0.76", "--L=0.05"],
+              ["--eta=0.8", "--eps=0.95", "--g=-19"]],
+    "loop-spectrum": [["--eta=0.8", "--eps=0.95", "--g=-19", "--filter=exponential", "--tau=1",
+                       "--time-constant=0.3", "--omega-min=0", "--omega-max=3", "--points=5"]],
+    "loop-sim": [],
+    "spectrum": [["--model=feedback", "--eta=0.8", "--eps=0.95", "--g=-19", "--method=numerical",
+                  "--tau-max=200", "--dtau=2e-3", "--omega-max=3", "--points=5"],
+                 ["--model=feedback", "--eta=0.8", "--eps=0.95", "--lambda=-0.76", "--points=5"],
+                 ["--model=free", "--eta=0.8", "--L=0.05", "--points=5"]],
+    "fig2": [["--eta=0.8", "--eps=0.95"]],
+    "trajectories": [],
+}
+
+
+def _float_options() -> dict:
+    """Every type=float option of every subcommand, read from the parser."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [a.option_strings[0] for a in p._actions if a.type is float]
+        for name, p in sub.choices.items()
+    }
+
+
+def _non_finite_sweep():
+    options = _float_options()
+    for command, baselines in SWEEP_BASELINES.items():
+        for i, argv in enumerate(baselines):
+            for flag in options[command]:
+                if not any(t.startswith(flag + "=") for t in argv):
+                    continue
+                for value in ("nan", "inf", "-inf"):
+                    case = [f"{flag}={value}" if t.startswith(flag + "=") else t for t in argv]
+                    yield pytest.param(command, case, id=f"{command}-{i}{flag}={value}")
+
+
+def test_sweep_baselines_exit_0_and_set_every_float_option(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("INLOOP_OUTDIR", raising=False)
+    options = _float_options()
+    assert sorted(SWEEP_BASELINES) == sorted(options)
+    for command, flags in options.items():
+        for argv in SWEEP_BASELINES[command]:
+            assert main([command, *argv]) == 0, (command, argv)
+        for flag in flags:
+            assert any(t.startswith(flag + "=") for argv in SWEEP_BASELINES[command]
+                       for t in argv), f"no sweep baseline sets {command} {flag}"
+
+
+@pytest.mark.parametrize("command, argv", list(_non_finite_sweep()))
+def test_non_finite_float_options_exit_4_without_output(tmp_path, monkeypatch, capsys,
+                                                        command, argv):
+    # outputs default to the working directory, which must stay empty
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("INLOOP_OUTDIR", raising=False)
+    assert main([command, *argv]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("parameter error: ")
+    assert list(tmp_path.iterdir()) == []

@@ -29,6 +29,7 @@ from inloop.loop import (
     squeezing_from_lambda,
     welch_spectrum,
 )
+from inloop.squeezed_bath import free_rates, photon_parameters
 from oracles import lfilter_loop, two_sided_welch, uncached_crossing_excess
 
 RECT = LoopFilter.rectangular(1.0)
@@ -149,13 +150,38 @@ def test_filter_validation():
         (lambda: fig2_loop(np.nan), "gain g must be finite, got nan"),
         (lambda: fig2_loop(np.inf), "gain g must be finite, got inf"),
         (lambda: fig2_loop(-np.inf), "gain g must be finite, got -inf"),
+        (lambda: lambda_from_gain(np.nan, 0.8), "gain g must be finite and below 1, got nan"),
+        (lambda: lambda_from_gain(-np.inf, 0.8), "gain g must be finite and below 1, got -inf"),
+        (lambda: gain_from_lambda(np.nan, 0.8),
+         "lam must be finite and exceed -eta = -0.8, got nan"),
+        (lambda: squeezing_from_lambda(np.nan, 0.8, 0.95),
+         "lam must be finite and exceed -eta = -0.8, got nan"),
+        (lambda: free_rates(0.8, np.inf), "level L must be positive and finite, got inf"),
+        (lambda: photon_parameters(np.inf), "level L must be positive and finite, got inf"),
+        (lambda: simulate_classical_loop(fig2_loop(), dt=0.02, duration=50.0, seed=1.5),
+         "seed must be a non-negative integer, got 1.5"),
+        (lambda: simulate_classical_loop(fig2_loop(), dt=0.02, duration=50.0, seed=True),
+         "seed must be a non-negative integer, got True"),
     ],
     ids=["tau-nan", "tau-inf", "single-pole-nan", "time-constant-nan", "time-constant-inf",
-         "sample-nan", "sample-inf", "g-nan", "g-inf", "g-minus-inf"],
+         "sample-nan", "sample-inf", "g-nan", "g-inf", "g-minus-inf", "gain-to-lambda-nan",
+         "gain-to-lambda-minus-inf", "lambda-to-gain-nan", "squeezing-nan", "free-rates-inf",
+         "photon-parameters-inf", "seed-float", "seed-bool"],
 )
 def test_non_finite_loop_parameters_are_rejected(make, message):
     with pytest.raises(ParameterError, match=message):
         make()
+
+
+def test_only_the_exponential_filter_takes_a_time_constant():
+    # the exponential default tau/4 stands in for a missing time constant
+    # only; 0 is out of domain, and other kinds refuse one
+    assert LoopFilter("exponential", 2.0) == LoopFilter.exponential(2.0, 0.5)
+    with pytest.raises(ParameterError, match="positive, finite time constant, got 0.0"):
+        LoopFilter.exponential(1.0, 0.0)
+    for kind, samples in (("rectangular", None), ("single_pole", None), ("sampled", [1.0, 2.0])):
+        with pytest.raises(ParameterError, match=f"a {kind} filter takes no time constant"):
+            LoopFilter(kind, 1.0, time_constant=0.3, samples=samples)
 
 
 def test_stability_asserts_fail_on_nan_excess(monkeypatch):
