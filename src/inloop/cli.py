@@ -150,7 +150,12 @@ def cmd_rates(args) -> int:
         }
     if not report:
         raise ParameterError("nothing to report: give --lambda/--g (with --eps) and/or --L")
-    text = json.dumps(report, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # finite inputs whose rates or photon numbers overflow
+        overflow = [f"{part}.{key} = {value}" for part, entries in sorted(report.items())
+                    for key, value in sorted(entries.items()) if not np.isfinite(value)]
+        raise ParameterError(f"the report is not finite: {', '.join(overflow)}") from None
     if args.json_out:
         Path(args.json_out).write_text(text + "\n")
     else:
@@ -209,9 +214,7 @@ def cmd_spectrum(args) -> int:
     if args.method == "analytic":
         spec = analytic_power_spectrum(gen.rates, args.eta, grid)
     else:
-        slowest = np.min(-np.linalg.eigvals(gen.drift).real)
-        tau_max = 200.0 / slowest if args.tau_max is None else args.tau_max
-        spec = numerical_power_spectrum(gen, args.eta, grid, tau_max, args.dtau)
+        spec = numerical_power_spectrum(gen, args.eta, grid, args.tau_max, args.dtau)
     out = _outdir(args) / args.out
     write_csv(out, {"omega": spec.grid, "value": spec.values},
               comments=[f"model = {args.model}", f"method = {args.method}"])

@@ -28,11 +28,20 @@ conservative for filters whose response crosses the real axis only at
 zeros (the rectangular filter with strongly negative gain is a stable
 example it would reject).  The check used here is the Nyquist criterion in
 its practical form: the loop is unstable iff the open-loop response
-g h~(w) crosses the real axis at or beyond +1.  The gain-independent h~ on
-the scan grid is computed once for each of the 64 most recent filters and
-shared read-only.  Simulations also apply the same crossing test to the
-response of the discretized loop (`assert_discrete_stable`), whose exact
-reference is `loop_recursion_poles`.
+g h~(w) crosses the real axis at or beyond +1.  Simulations also apply the
+same crossing test to the response of the discretized loop
+(`assert_discrete_stable`), whose exact reference is `loop_recursion_poles`.
+
+Gain sweeps at a fixed filter repeat work that does not depend on g, so
+three least-recently-used caches of STABILITY_CACHE_SIZE = 64 entries each
+keep it: h~ on the scan grid per filter (`_stability_response`, 64 KiB an
+entry), h~ on a spectrum's frequency grid per (filter, grid)
+(`_grid_response`, only for grids of at most 4,096 points, so at most
+64 KiB an entry plus the grid's 32 KiB key) and the crossing scan's result
+per `LoopConfig` (`ray_crossing_excess`), so a config's `is_stable` and the
+checks inside its spectra run one scan.  Cached responses are read-only;
+spectra, verdicts and messages are bitwise the uncached ones, and the
+spectra return fresh, writable arrays.
 """
 
 from __future__ import annotations
@@ -264,12 +273,34 @@ def _stability_response(filt: LoopFilter) -> np.ndarray:
     return resp
 
 
+@functools.lru_cache(maxsize=STABILITY_CACHE_SIZE)
+def _grid_response(filt: LoopFilter, grid_bytes: bytes, shape: tuple[int, ...]) -> np.ndarray:
+    """h~ of `filt` on the float64 grid with these bytes and shape, shared
+    read-only by the spectra."""
+    resp = np.asarray(filt.transfer(np.frombuffer(grid_bytes).reshape(shape)))
+    resp.flags.writeable = False
+    return resp
+
+
+def _spectrum_response(filt: LoopFilter, omega) -> np.ndarray:
+    """h~ of `filt` at `omega`, cached per (filter, grid) for grids of at
+    most UNIT_STABILITY_GRID.size points."""
+    w = np.asarray(omega, dtype=float)
+    if w.size > UNIT_STABILITY_GRID.size:
+        return filt.transfer(w)
+    return _grid_response(filt, w.tobytes(), w.shape)
+
+
+@functools.lru_cache(maxsize=STABILITY_CACHE_SIZE)
 def ray_crossing_excess(cfg: LoopConfig) -> float:
     """Largest real part of the open-loop response g h~(w) where its locus
     crosses (or touches) the real axis; >= 1 signals an encirclement of
     the critical point, i.e. instability.  The zero-frequency value g is
     always a real-axis point.  h~ is computed once for each of the 64 most
-    recent filters and kept read-only (`_stability_response`)."""
+    recent filters and kept read-only (`_stability_response`), and the
+    result once for each of the 64 most recent configs.  Configs that
+    compare equal share it: g = -0.0 may read the 0.0 of g = 0.0, and an
+    integer g the value of its float."""
     resp = cfg.g * _stability_response(cfg.filter)
     touches = np.abs(resp.imag) < 1e-14 * np.maximum(np.abs(resp.real), 1.0)
     return max(cfg.g, _real_axis_max(resp, touches))
@@ -295,7 +326,7 @@ def in_loop_spectrum(cfg: LoopConfig, omega) -> np.ndarray:
     Equals 1 for an open loop, tends to 1 at high frequency, and is
     bounded below by 1 - eps (reached at the optimal gain)."""
     assert_stable(cfg)
-    h = cfg.filter.transfer(omega)
+    h = _spectrum_response(cfg.filter, omega)
     num = 1.0 + cfg.g**2 * np.abs(h) ** 2 * (1.0 / cfg.eps - 1.0)
     return num / np.abs(1.0 - cfg.g * h) ** 2
 
@@ -303,7 +334,7 @@ def in_loop_spectrum(cfg: LoopConfig, omega) -> np.ndarray:
 def homodyne_spectrum(cfg: LoopConfig, omega) -> np.ndarray:
     """Spectrum of the in-loop photocurrent, S_hom = 1 / |1 - g h~|^2."""
     assert_stable(cfg)
-    h = cfg.filter.transfer(omega)
+    h = _spectrum_response(cfg.filter, omega)
     return 1.0 / np.abs(1.0 - cfg.g * h) ** 2
 
 

@@ -104,7 +104,7 @@ def total_flux(rate_set: RateSet, eta: float) -> float:
 
 
 def numerical_power_spectrum(
-    gen: AffineGenerator, eta: float, grid, tau_max: float, dtau: float
+    gen: AffineGenerator, eta: float, grid, tau_max: float | None, dtau: float
 ) -> Spectrum:
     """Fluorescence spectrum from the generator's drift and constant alone,
     by the trapezoid rule for the one-sided transform of the correlation
@@ -118,6 +118,7 @@ def numerical_power_spectrum(
     c(tau) = conj(a) . exp(drift tau) (a + i a x r_ss) = sum_k w_k
     exp(lam_k tau) over the drift's eigenvalues lam_k, whose decay rates
     bound tau_max and dtau.  The cost does not grow with tau_max / dtau.
+    tau_max = None spans 200 of the slowest decay times.
 
     `gen` is the `AffineGenerator` of either model.
     """
@@ -126,6 +127,8 @@ def numerical_power_spectrum(
     grid = np.asarray(grid, dtype=float)
     g_min = float(np.min(-evals.real))
     g_max = float(np.max(-evals.real))
+    if tau_max is None:
+        tau_max = 200.0 / g_min
     if not dtau > 0.0:
         raise ParameterError(f"dtau must be positive, got {dtau}")
     if tau_max * g_min < 20.0:

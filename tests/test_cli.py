@@ -113,8 +113,12 @@ def test_rates_requires_exactly_one_of_lambda_or_g(tmp_path):
         (["--L", "inf"], "X-quadrature level L must be positive and finite, got inf"),
         (["--eps", "0.95", "--lambda", "inf"],
          "feedback strength lam must be finite and exceed -eta = -0.8, got inf"),
+        # finite inputs whose rates overflow
+        (["--eps", "0.95", "--lambda", "1e200"],
+         "the report is not finite: feedback.S_in = inf, feedback.gamma_x = inf"),
+        (["--L", "1e-320"], "the report is not finite: free.M = -inf, free.N = inf"),
     ],
-    ids=["L-inf", "lambda-inf"],
+    ids=["L-inf", "lambda-inf", "lambda-1e200", "L-1e-320"],
 )
 def test_rates_rejects_non_finite_report_values(tmp_path, monkeypatch, capsys, args, message):
     # the report would hold Infinity or NaN, which are not JSON
@@ -123,6 +127,9 @@ def test_rates_rejects_non_finite_report_values(tmp_path, monkeypatch, capsys, a
     out, err = capsys.readouterr()
     assert out == ""
     assert f"parameter error: {message}" in err
+    assert main(["rates", "--eta", "0.8", *args, "--json-out", "report.json"]) == 4
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rates_domain_error_exit_code(tmp_path):

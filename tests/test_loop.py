@@ -210,9 +210,25 @@ SWEEP_FILTERS = [
 ]
 
 
+# Spectrum grids: a scalar, a list, the analysis workload's 2,001-point grid
+# twice (the second call hits the cache), and 5,000 points (never cached).
+SPECTRUM_GRIDS = [0.0, [0.0, 0.5, 2.0, 7.5], np.linspace(0.0, 50.0, 2001),
+                  np.linspace(0.0, 50.0, 2001), np.linspace(0.0, 200.0, 5000)]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("filt", SWEEP_FILTERS, ids=lambda f: f.kind)
 def test_cached_crossing_excess_is_bitwise_the_uncached_scan(filt):
-    for g in np.random.default_rng(1501).uniform(-40.0, 0.99, 300):
+    loop._grid_response.cache_clear()
+    ray_crossing_excess.cache_clear()
+    responses = [filt.transfer(w) for w in SPECTRUM_GRIDS]
+    gains = np.random.default_rng(1501).uniform(-40.0, 0.99, 300)
+    stable = 0
+    for g in gains:
         cfg = LoopConfig(g=float(g), eps=0.9, eta=0.8, filter=filt)
         ref = uncached_crossing_excess(cfg)
         assert ray_crossing_excess(cfg) == ref
@@ -221,6 +237,28 @@ def test_cached_crossing_excess_is_bitwise_the_uncached_scan(filt):
             expected = f"at {ref:.6g} >= 1 (g = {cfg.g}, filter = {filt.kind})"
             with pytest.raises(InstabilityError, match=re.escape(expected)):
                 assert_stable(cfg)
+            continue
+        stable += 1
+        for w, h in zip(SPECTRUM_GRIDS, responses):
+            den = np.abs(1.0 - cfg.g * h) ** 2
+            s_in = (1.0 + cfg.g**2 * np.abs(h) ** 2 * (1.0 / cfg.eps - 1.0)) / den
+            s_hom = 1.0 / den
+            got_in, got_hom = in_loop_spectrum(cfg, w), homodyne_spectrum(cfg, w)
+            assert _same_bits(got_in, s_in) and _same_bits(got_hom, s_hom)
+            if np.ndim(w):
+                # fresh arrays: writing into one leaves the next call unchanged
+                got_in[:] = -1.0
+                got_hom[:] = -1.0
+                assert _same_bits(in_loop_spectrum(cfg, w), s_in)
+                assert _same_bits(homodyne_spectrum(cfg, w), s_hom)
+    assert stable > 0
+    # one crossing scan per config, however many checks read it
+    assert ray_crossing_excess.cache_info().misses == gains.size
+    # entries for 0.0, the list and the 2,001-point grid; none for 5,000 points
+    info = loop._grid_response.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+    # per stable gain: two spectra on four cached grids, again on the three arrays
+    assert info.hits == (2 * 4 + 2 * 3) * stable - 3
 
 
 def test_cached_stability_response_is_read_only():
@@ -478,16 +516,22 @@ def test_discrete_crossing_agrees_with_recursion_poles():
 @pytest.mark.parametrize("size", [10000, 9999])
 def test_welch_spectrum_matches_two_sided_route(size, nperseg):
     # the numpy estimate equals scipy's two-sided one on w > 0;
-    # 9999 and 20000 are clamped to the record length, even or odd.  The
-    # record is the lfilter route's: on the blocked solve's record, which
-    # differs in its last bits, the two estimates of the single-segment
-    # cases differ by 1.4e-13 at their most suppressed bin (PSD 1.3e-5),
-    # the float64 floor of either route.
-    x = lfilter_loop(fig2_loop(), dt=0.02, duration=200.0, seed=17)[0][:size]
-    omega, psd = welch_spectrum(x, 0.02, nperseg=nperseg)
-    omega_ref, psd_ref = two_sided_welch(x, 0.02, nperseg=nperseg)
-    assert np.array_equal(omega, omega_ref)
-    np.testing.assert_allclose(psd, psd_ref, rtol=1e-13, atol=0.0)
+    # 9999 and 20000 are clamped to the record length, even or odd.  Both
+    # routes sum the same squares in another order, so each bin differs by
+    # a few ulps of the spectrum's scale, not of its own value: the
+    # single-segment cases' most suppressed bins (PSD 1.3e-5 against a
+    # median of 0.77) differ by 1.4e-13 relative on the blocked solve's
+    # record.  Hence the absolute floor of 1e-13 times the maximum, on the
+    # records of the lfilter route and of the blocked solve.
+    records = (
+        lfilter_loop(fig2_loop(), dt=0.02, duration=200.0, seed=17)[0],
+        simulate_classical_loop(fig2_loop(), dt=0.02, duration=200.0, seed=17).x_in,
+    )
+    for x in (record[:size] for record in records):
+        omega, psd = welch_spectrum(x, 0.02, nperseg=nperseg)
+        omega_ref, psd_ref = two_sided_welch(x, 0.02, nperseg=nperseg)
+        assert np.array_equal(omega, omega_ref)
+        np.testing.assert_allclose(psd, psd_ref, rtol=1e-13, atol=1e-13 * np.max(psd_ref))
     assert omega.size == (min(nperseg or 128, size) - 1) // 2
 
 

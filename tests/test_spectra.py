@@ -157,6 +157,22 @@ def test_numerical_spectrum_reads_the_generator():
         assert (np.max(np.abs(num.values - ana.values)) < 1e-4) == agrees
 
 
+@pytest.mark.parametrize(
+    "gen",
+    [build_generator(-0.76, 0.8, 0.95), build_squeezed_generator(0.8, 0.05)],
+    ids=["feedback", "free"],
+)
+def test_numerical_default_cutoff_is_200_slowest_decay_times(gen):
+    # past a few dozen decay times z^n underflows against 1 and the cutoff
+    # no longer moves the spectrum, so this pins that None is accepted and
+    # resolves the slowest decay, not the factor 200 itself
+    grid = np.linspace(-3.0, 3.0, 61)
+    tau_max = 200.0 / np.min(-np.linalg.eigvals(gen.drift).real)
+    default = numerical_power_spectrum(gen, 0.8, grid, None, 1e-3)
+    explicit = numerical_power_spectrum(gen, 0.8, grid, tau_max, 1e-3)
+    assert np.array_equal(default.values, explicit.values)
+
+
 def test_numerical_rejects_underresolved():
     gen = build_generator(-0.76, 0.8, 0.95)
     grid = np.linspace(-3, 3, 41)
