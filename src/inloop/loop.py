@@ -213,21 +213,32 @@ class LoopFilter:
             return self.tau * np.log(1e10)
         return self.tau
 
+    def check_step(self, dt: float) -> None:
+        """Raise ParameterError unless dt resolves the filter: positive,
+        finite and at most a tenth of its scale, which is tau, or for the
+        exponential kind min(tau, 4 time_constant) (tau at the default time
+        constant).  A relative slack of 1e-14 forgives rounding in dt, and
+        still leaves at least 10 taps at any scale."""
+        positive("dt", dt)
+        scale = min(self.tau, 4.0 * self.time_constant) if self.kind == "exponential" else self.tau
+        if dt > scale / 10.0 * (1.0 + 1e-14):
+            raise ParameterError(
+                f"dt = {dt} must be at most {scale / 10.0:.3g}, a tenth of the "
+                f"{self.kind} filter's scale {scale:.3g}, to resolve the loop filter"
+            )
+
     def discretize(self, dt: float) -> np.ndarray:
         """Quadrature weights w_j = h((j - 1/2) dt) dt, j = 1..m, for the
         strictly-past convolution Phi_k = sum_j w_j I_{k-j}.
 
-        Midpoint sampling keeps the first tap strictly delayed.  Weights
-        are renormalized to sum exactly to 1 so the discrete loop has
-        low-frequency gain exactly g.
+        dt must pass `check_step`, the one step rule of every discretized
+        loop: at most a tenth of tau, or of min(tau, 4 time_constant) for
+        the exponential kind, so m >= 10.  Midpoint sampling keeps the first
+        tap strictly delayed.  Weights are renormalized to sum exactly to 1
+        so the discrete loop has low-frequency gain exactly g.
         """
-        positive("dt", dt)
-        span = self.support_duration()
-        m = int(round(span / dt))
-        if m < 1 or dt > span / 2:
-            raise ParameterError(
-                f"dt = {dt} does not resolve the filter support {span:.3g}"
-            )
+        self.check_step(dt)
+        m = int(round(self.support_duration() / dt))
         s = (np.arange(1, m + 1) - 0.5) * dt
         w = self.density(s) * dt
         total = w.sum()
@@ -477,9 +488,6 @@ def simulate_classical_loop(
     count("seed", seed, zero=True)
     positive("dt and duration", dt, duration)
     assert_stable(cfg)
-    span = cfg.filter.support_duration()
-    if dt > span / 10.0:
-        raise ParameterError(f"dt = {dt} must be at most a tenth of the filter support {span:.3g}")
     n = int(round(duration / dt))
     if n < 10:
         raise ParameterError("duration too short for the requested dt")

@@ -118,10 +118,12 @@ MIN_SLICE = 256
 class TrajectoryConfig:
     """Controls for a conditioned ensemble run.
 
-    dt must resolve both the filter (dt <= tau/10) and the atomic dynamics
-    (dt <= 1e-2, lifetimes = 1).  `record_stride` subsamples the stored
-    trajectory records (default ~ every 0.01 lifetimes); `phi_guard`
-    (positive and finite) aborts on runaway feedback drive.
+    dt must resolve both the loop filter (`LoopFilter.check_step`: at most
+    a tenth of tau, or of min(tau, 4 time_constant) for an exponential
+    filter) and the atomic dynamics (dt <= 1e-2, lifetimes = 1).
+    `record_stride` subsamples the stored trajectory records (default ~
+    every 0.01 lifetimes); `phi_guard` (positive and finite) aborts on
+    runaway feedback drive.
     """
 
     loop: LoopConfig
@@ -133,17 +135,11 @@ class TrajectoryConfig:
     record_stride: int | None = None
     record_current: bool = False
     record_drive: bool = False
-    keep_records: bool = True
     phi_guard: float = 1e3
 
     def validate(self) -> "TrajectoryConfig":
-        tau = self.loop.filter.tau
         positive("dt and duration", self.dt, self.duration)
-        if self.dt > tau / 10.0 + 1e-15:
-            raise ParameterError(
-                f"dt = {self.dt} must be at most tau/10 = {tau / 10.0:.3g} "
-                "to resolve the loop filter"
-            )
+        self.loop.filter.check_step(self.dt)
         if self.dt > 1e-2 + 1e-15:
             raise ParameterError(f"dt = {self.dt} must be at most 1e-2 lifetimes")
         count("n_traj", self.n_traj)
@@ -162,7 +158,7 @@ class TrajectoryConfig:
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
     """Ensemble means with standard errors at the recorded times, plus the
-    per-trajectory records that fit errors need (optional) and raw current
+    per-trajectory records that fit errors need and raw current and drive
     records (optional)."""
 
     times: np.ndarray
@@ -170,7 +166,7 @@ class EnsembleResult:
     stderr: np.ndarray
     config: TrajectoryConfig
     n_steps: int
-    records: np.ndarray | None = None
+    records: np.ndarray
     currents: np.ndarray | None = None
     drives: np.ndarray | None = None
 
@@ -178,7 +174,7 @@ class EnsembleResult:
 def _filter_mode(weights: np.ndarray) -> tuple[str, float]:
     """Phi evaluation strategy and geometric ratio: O(1) recursion for
     geometric weights (flat ones have ratio exactly 1), O(m) product
-    otherwise.  `TrajectoryConfig.validate` ensures at least 10 weights."""
+    otherwise.  `LoopFilter.check_step` ensures at least 10 weights."""
     ratio = weights[1] / weights[0]
     if np.allclose(weights[1:] / weights[:-1], ratio, rtol=1e-9, atol=0.0):
         return "geometric", float(ratio)
@@ -191,7 +187,7 @@ class _Plan:
 
     cfg: TrajectoryConfig
     n_steps: int
-    mask: np.ndarray
+    rec_steps: list[int]
     weights: np.ndarray
     filter_mode: str
     ratio: float
@@ -250,7 +246,7 @@ def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int, empty=n
     # Lag weights of step k, w_j at ring row (k - j) % m, are the window
     # [o, o + m) of the reversed weights repeated twice, o = (-k) % m.
     lag_table = np.concatenate((weights[::-1], weights[::-1]))
-    rec_steps = np.flatnonzero(plan.mask).tolist()
+    rec_steps = plan.rec_steps
 
     rngs = [np.random.default_rng(cfg.seed ^ i) for i in range(lo, hi)]
 
@@ -430,11 +426,9 @@ def _plan(cfg: TrajectoryConfig) -> _Plan:
     n_steps = int(round(cfg.duration / cfg.dt))
     if n_steps < 1:
         raise ParameterError("duration shorter than one step")
-    mask = np.zeros(n_steps + 1, dtype=bool)  # the recorded steps
-    mask[:: cfg.stride()] = True
-    mask[-1] = True
+    rec_steps = [*range(0, n_steps, cfg.stride()), n_steps]  # every stride-th, and the last
     weights = assert_discrete_stable(cfg.loop.filter, cfg.loop.g, cfg.dt)
-    return _Plan(cfg, n_steps, mask, weights, *_filter_mode(weights))
+    return _Plan(cfg, n_steps, rec_steps, weights, *_filter_mode(weights))
 
 
 def _run_cuts(plan: _Plan, cuts: list[int], forked: bool) -> EnsembleResult:
@@ -444,8 +438,7 @@ def _run_cuts(plan: _Plan, cuts: list[int], forked: bool) -> EnsembleResult:
     n = cfg.n_traj
     # Forked runs map outputs and noise buffers: the heap would keep the latter.
     empty = _shared_empty if forked else np.empty
-    rec_steps = np.nonzero(plan.mask)[0]
-    records = empty((n, rec_steps.size, 3))
+    records = empty((n, len(plan.rec_steps), 3))
     currents = empty((n, plan.n_steps)) if cfg.record_current else None
     drives = empty((n, plan.n_steps)) if cfg.record_drive else None
     run_slice = functools.partial(_run_slice, plan, records, currents, drives, empty=empty)
@@ -462,12 +455,12 @@ def _run_cuts(plan: _Plan, cuts: list[int], forked: bool) -> EnsembleResult:
         sq_dev += dev * dev
     stderr = np.sqrt(sq_dev / (n - 1) / n) if n > 1 else np.full_like(mean, np.nan)
     return EnsembleResult(
-        times=rec_steps * cfg.dt,
+        times=np.array(plan.rec_steps) * cfg.dt,
         mean=mean,
         stderr=stderr,
         config=cfg,
         n_steps=plan.n_steps,
-        records=records if cfg.keep_records else None,
+        records=records,
         currents=currents,
         drives=drives,
     )
@@ -523,8 +516,6 @@ def fit_decay_rate(
         raise ParameterError(
             "mean component crosses zero inside the fit window; shrink the window"
         )
-    if result.records is None:
-        raise ParameterError("fit errors need per-trajectory records: run with keep_records=True")
     a = ts - ts.mean()
     a /= a @ a
     rate = -(a @ np.log(mean))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from inloop.errors import InstabilityError
+from inloop.errors import InstabilityError, ParameterError
 from inloop.feedback import build_generator
 from inloop.cli import build_parser, main
 from inloop.loop import (
@@ -396,10 +396,18 @@ def test_loop_spectrum_rejects_non_finite_parameters_without_output(tmp_path, ar
          "dt and duration must be positive and finite, got 0.0001, inf"),
         ("loop-sim", LOOP_CONFIG.replace("rectangular", "exponential\ntime_constant = 0"),
          "exponential filter needs a positive, finite time constant, got 0.0"),
+        ("loop-sim",
+         LOOP_CONFIG.replace("rectangular", "single_pole").replace("dt = 0.02", "dt = 0.5"),
+         "dt = 0.5 must be at most 0.1, a tenth of the single_pole filter's scale 1,"),
+        ("loop-sim",
+         LOOP_CONFIG.replace("rectangular", "exponential\ntime_constant = 1e-3")
+         .replace("dt = 0.02", "dt = 0.05"),
+         "dt = 0.05 must be at most 0.0004, a tenth of the exponential filter's scale 0.004,"),
     ],
     ids=["loop-sim-g", "loop-sim-dt", "loop-sim-duration", "trajectories-g",
          "trajectories-tau", "trajectories-dt", "trajectories-duration",
-         "loop-sim-zero-time-constant"],
+         "loop-sim-zero-time-constant", "loop-sim-coarse-single-pole",
+         "loop-sim-coarse-exponential-time-constant"],
 )
 def test_non_finite_run_parameters_are_domain_errors_without_output(
     tmp_path, command, config, message
@@ -512,8 +520,9 @@ def test_loop_sim_does_not_depend_on_blas_threads(tmp_path, config):
 
 
 def _random_run_config(command: str, rng: np.random.Generator) -> dict:
-    """A random config that `command` accepts: a loop that is stable, also
-    once discretized, and every optional key either drawn or left out."""
+    """A random config that `command` accepts: a step that resolves the
+    filter, a loop that is stable, also once discretized, and every optional
+    key either drawn or left out."""
     taus, steps = {
         "loop-sim": ((0.5, 2.0), (64, 3000)), "trajectories": ((0.01, 0.1), (20, 300)),
     }[command]
@@ -529,7 +538,7 @@ def _random_run_config(command: str, rng: np.random.Generator) -> dict:
         try:
             assert_stable(LoopConfig(run["g"], run["eps"], run["eta"], filt))
             assert_discrete_stable(filt, run["g"], dt)
-        except InstabilityError:
+        except (ParameterError, InstabilityError):
             continue
         break
     n = int(rng.integers(*steps))

@@ -20,7 +20,14 @@ import pytest
 from inloop.bloch import AtomState
 from inloop.errors import InstabilityError, ParameterError
 from inloop.feedback import build_generator, propagate
-from inloop.loop import LoopConfig, LoopFilter, discrete_loop_transfer, simulate_classical_loop
+from inloop.loop import (
+    LoopConfig,
+    LoopFilter,
+    assert_discrete_stable,
+    discrete_loop_transfer,
+    loop_recursion_poles,
+    simulate_classical_loop,
+)
 from inloop.trajectories import (
     MIN_SLICE,
     NOISE_BLOCK,
@@ -174,6 +181,50 @@ def test_config_validation():
         make_config(initial_state=AtomState(1.0, 1.0, 1.0)).validate()
     with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -1"):
         make_config(seed=-1).validate()
+
+
+# A filter of each kind with the scale whose tenth bounds the step: tau, or
+# 4 time_constant where that is shorter (not at the default tau/4).
+STEP_RULE_FILTERS = {
+    "rectangular": (LoopFilter.rectangular(0.05), 0.05),
+    "exponential": (LoopFilter.exponential(0.05), 0.05),
+    "exponential_short_time_constant": (LoopFilter.exponential(0.05, 2e-3), 8e-3),
+    "single_pole": (LoopFilter.single_pole(0.05), 0.05),
+    "sampled": (LoopFilter.from_samples(0.05, np.exp(-np.linspace(0.0, 1.0, 7))), 0.05),
+}
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.01], ids=["at-bound", "beyond-bound"])
+@pytest.mark.parametrize("case", STEP_RULE_FILTERS)
+def test_every_discretized_loop_applies_one_step_rule(case, factor):
+    # each entry point that steps or discretizes a loop accepts the step at
+    # a tenth of the filter's scale and rejects it 1 % beyond, with one message
+    filt, scale = STEP_RULE_FILTERS[case]
+    dt = scale / 10.0 * factor
+    loop = LoopConfig(g=-0.5, eps=0.95, eta=0.8, filter=filt)
+    cfg = make_config(loop=loop, dt=dt, duration=20 * dt, n_traj=2)
+    entries = {
+        "validate": cfg.validate,
+        "run_ensemble": lambda: run_ensemble(cfg),
+        "simulate_classical_loop": lambda: simulate_classical_loop(loop, dt, 20 * dt, seed=1),
+        "discretize": lambda: filt.discretize(dt),
+        "assert_discrete_stable": lambda: assert_discrete_stable(filt, loop.g, dt),
+        "loop_recursion_poles": lambda: loop_recursion_poles(loop, dt),
+        "discrete_loop_transfer": lambda: discrete_loop_transfer(filt, dt, [1.0]),
+    }
+    verdicts = {}
+    for name, call in entries.items():
+        try:
+            call()
+        except ParameterError as exc:
+            verdicts[name] = str(exc)
+        else:
+            verdicts[name] = "accepted"
+    message = (
+        f"dt = {dt} must be at most {scale / 10.0:.3g}, a tenth of the {filt.kind} filter's "
+        f"scale {scale:.3g}, to resolve the loop filter"
+    )
+    assert verdicts == dict.fromkeys(entries, "accepted" if factor == 1.0 else message)
 
 
 @pytest.mark.parametrize(
@@ -384,11 +435,11 @@ def test_strided_records_over_several_blocks_match_scalar_oracle(filt, g, dt):
         record_current=True, record_drive=True, phi_guard=1e5,
     )
     res = run_ensemble(cfg)
-    mask = _plan(cfg).mask
-    assert res.n_steps == n_steps and np.count_nonzero(mask) == n_steps // 37 + 2
+    rec_steps = _plan(cfg).rec_steps
+    assert res.n_steps == n_steps and len(rec_steps) == n_steps // 37 + 2
     for i in range(cfg.n_traj):
         states, currents, drives = scalar_oracle_run(cfg, i, n_steps)
-        np.testing.assert_allclose(res.records[i], states[mask], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(res.records[i], states[rec_steps], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(res.currents[i], currents, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(res.drives[i], drives, rtol=1e-12, atol=1e-12)
 
@@ -489,7 +540,6 @@ def slice_case_digests():
     cases = {
         "uniform": (slice_config(UNIFORM, **RECORDED), []),
         "geometric": (slice_config(GEOMETRIC, **RECORDED), []),
-        "geometric_bare": (slice_config(GEOMETRIC, keep_records=False), []),
     }
     cases.update({name: case[:2] for name, case in SLICE_FAILURES.items()})
     out = {}
@@ -531,7 +581,7 @@ def test_slice_failures_merge_to_the_whole_ensemble_failure(case):
     cfg, spikes, same_step = SLICE_FAILURES[case]
     plan = _plan(cfg)
     with spiked_streams(cfg.seed, spikes):
-        rows = np.empty((WIDE, np.count_nonzero(plan.mask), 3))
+        rows = np.empty((WIDE, len(plan.rec_steps), 3))
         failures = [f for f in (_run_slice(plan, rows, None, None, lo, hi)
                                 for lo, hi in zip(ODD_CUTS, ODD_CUTS[1:])) if f is not None]
         with pytest.raises(InstabilityError) as whole:
@@ -589,7 +639,7 @@ def test_block_guard_reports_the_first_trip_exactly(case, forked):
     with warnings.catch_warnings(), spiked_streams(cfg.seed, spikes):
         warnings.simplefilter("error", RuntimeWarning)
         if not forked:
-            rows = np.empty((WIDE, np.count_nonzero(plan.mask), 3))
+            rows = np.empty((WIDE, len(plan.rec_steps), 3))
             assert _run_slice(plan, rows, None, None, 0, WIDE) == (step, peaks[step])
         with pytest.raises(InstabilityError) as exc:
             _run_cuts(plan, ODD_CUTS if forked else [0, WIDE], forked=forked)
@@ -791,12 +841,6 @@ def test_fit_rate_is_the_least_squares_slope():
             assert abs(fit_decay_rate(res, "x", window).rate + slope) < 1e-12
 
 
-def test_fit_without_records_names_keep_records():
-    res = run_ensemble(make_config(duration=3.0, n_traj=50, seed=3, keep_records=False))
-    with pytest.raises(ParameterError, match="keep_records"):
-        fit_decay_rate(res, "x")
-
-
 def test_fit_of_one_trajectory_has_nan_stderr_without_warning():
     times = np.linspace(0.0, 3.0, 301)
     res = _synthetic_result(np.exp(-0.5 * times)[None, :], times)
@@ -861,7 +905,8 @@ def test_ensemble_current_psd_is_row_mean_of_two_sided_route(rows, size, nperseg
     cfg = make_config(n_traj=rows)
     res = EnsembleResult(
         times=np.zeros(1), mean=np.zeros((1, 3)), stderr=np.zeros((1, 3)), config=cfg,
-        n_steps=size, currents=x[: rows * size].reshape(rows, size),
+        n_steps=size, records=np.zeros((rows, 1, 3)),
+        currents=x[: rows * size].reshape(rows, size),
     )
     omega, psd = ensemble_current_psd(res, nperseg=nperseg)
     ref = [two_sided_welch(row, cfg.dt, nperseg=nperseg, min_segments=4) for row in res.currents]
