@@ -39,6 +39,7 @@ J = (1/2) sum_mn P[m, n] sigma_m kron sigma_n^T with sigma_0 = I.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,21 +210,31 @@ def _expm(a) -> np.ndarray:
     """exp(a) by scaling and squaring: the degree-15 Taylor polynomial of
     a / 2^s, whose 1-norm is at most 1/2 (remainder below 1e-18), summed in
     four blocks of four powers (Paterson-Stockmeyer) and squared s times."""
-    s = max(0, int(np.frexp(np.linalg.norm(a, 1))[1]) + 1)
+    s = max(0, math.frexp(np.abs(a).sum(axis=0).max())[1] + 1)
     a = a / 2.0**s
     a2 = a @ a
     a4 = a2 @ a2
     powers = np.array([np.eye(len(a)), a, a2, a2 @ a])
     b = (_TAYLOR @ powers.reshape(4, -1)).reshape(powers.shape)
     p = b[0] + a4 @ (b[1] + a4 @ (b[2] + a4 @ b[3]))
-    return np.linalg.matrix_power(p, 2**s)
+    for _ in range(s):
+        p = p @ p
+    return p
 
 
 def smallest_choi_eigenvalue(drift, constant, t: float) -> float:
     """Minimum Choi eigenvalue of exp(generator * t); nonnegative (within
     rounding) iff the map is completely positive.  For t <= 1e3, `_expm`
-    is within 2e-14 of `scipy.linalg.expm` and 8e-15 of a 40-digit exp."""
+    is within 2e-14 of `scipy.linalg.expm` and 8e-15 of a 40-digit exp.
+    Raises ParameterError for a t that is negative or not finite, a drift
+    that is not 3x3, a constant not of length 3, or a non-finite entry."""
     if not 0.0 <= float(t) < np.inf:
         raise ParameterError(f"channel time must be finite and nonnegative, got {t}")
-    p = _expm(_generator(drift, constant) * float(t))
-    return float(np.min(np.linalg.eigvalsh(_choi_matrix(p))))
+    if np.shape(drift) != (3, 3) or np.shape(constant) != (3,):
+        raise ParameterError(f"a generator needs a 3x3 drift and a length-3 constant, got "
+                             f"shapes {np.shape(drift)} and {np.shape(constant)}")
+    g = _generator(drift, constant)
+    if not np.isfinite(g).all():
+        raise ParameterError("generator drift and constant must be finite")
+    p = _expm(g * float(t))
+    return float(np.linalg.eigvalsh(_choi_matrix(p))[0])  # eigvalsh sorts ascending

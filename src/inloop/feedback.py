@@ -27,7 +27,10 @@ squeezed bath (see `inloop.squeezed_bath`).
 
 Both models share the model layer defined here: a `RateSet` (with its
 steady state), an `AffineGenerator` assembled from the superoperators, and
-`propagate`, the exact solution of the decoupled Bloch equations.
+`propagate`, the exact solution of the decoupled Bloch equations.  Each
+model tabulates its fixed superoperator terms once, at import, and builds a
+generator as their weighted sum: here D[sigma], the coupling and
+D[sigma_y / 2], weighted by 1, lam and lam^2 / (eta eps).
 
 Time is measured in units of the longitudinal atomic lifetime (the
 spontaneous decay rate is 1).
@@ -98,7 +101,9 @@ class AffineGenerator:
     equation whose Bloch equations decouple with the closed-form `rates`.
 
     `drift` and `constant` are the Bloch blocks of the master equation's
-    4x4 generator, summed from the superoperator terms of `inloop.bloch`,
+    4x4 generator, summed from the superoperator terms of `inloop.bloch`
+    (tabulated at import by each model, and weighted per call; the
+    squeezed channel D[sigma_x] + L^2 D[sigma_y] + L X is quadratic in L),
     so eigenvalues of `drift` provide an independent check of the
     closed-form rates.
     """
@@ -108,21 +113,23 @@ class AffineGenerator:
     constant: np.ndarray = field(repr=False)
 
 
+# The fixed terms of the feedback master equation, tabulated once: D[sigma],
+# the coupling -i[sigma_y/2, sigma rho + rho sigma+] and D[sigma_y/2].
+_HALF_SY = AtomOperator(0.0, 0.0, 0.5, 0.0)
+_DAMPING = dissipator(AtomOperator.lowering())
+_COUPLING = coupling_commutator(AtomOperator.lowering(), _HALF_SY)
+_BACKACTION = dissipator(_HALF_SY)
+
+
 def build_generator(lam: float, eta: float, eps: float) -> AffineGenerator:
     """Assemble the feedback master equation as an affine Bloch generator.
 
-    The three terms are the 4x4 generators of the superoperators, weighted
-    and summed; trace preservation holds by construction since every term
-    is trace free.
+    The three terms are the 4x4 generators of the superoperators, tabulated
+    at import and weighted by 1, lam and lam^2/(eta eps); trace preservation
+    holds by construction since every term is trace free.
     """
     rs = rates(lam, eta, eps)
-    sigma = AtomOperator.lowering()
-    half_sy = AtomOperator(0.0, 0.0, 0.5, 0.0)
-    g = (
-        dissipator(sigma)
-        + lam * coupling_commutator(sigma, half_sy)
-        + lam * lam / (eta * eps) * dissipator(half_sy)
-    )
+    g = _DAMPING + lam * _COUPLING + lam * lam / (eta * eps) * _BACKACTION
     return AffineGenerator(rs, g[1:, 1:], g[1:, 0])
 
 

@@ -559,24 +559,25 @@ def welch_spectrum(
     are zero mean by construction, and per-segment mean removal would notch
     the lowest frequency bins.
     """
+    count("min_segments", min_segments)
     x = np.atleast_2d(np.asarray(samples, dtype=float))
     if nperseg is None:
         target = max(2 * x.shape[-1] // (min_segments + 1), 64)
         nperseg = 1 << int(np.log2(target))
     nperseg = check_nperseg(int(min(nperseg, x.shape[-1])))
     segs = np.lib.stride_tricks.sliding_window_view(x, nperseg, -1)[:, :: nperseg - nperseg // 2]
-    rows, count = segs.shape[:2]
+    rows, n_seg = segs.shape[:2]
     per_call = max(WELCH_BLOCK // nperseg, 1)
-    rows_per_call = max(per_call // count, 1)
+    rows_per_call = max(per_call // n_seg, 1)
     window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
     keep = slice(1, (nperseg + 1) // 2)
     acc = np.zeros(keep.stop - keep.start)
     for r in range(0, rows, rows_per_call):
-        for s in range(0, count, per_call):
+        for s in range(0, n_seg, per_call):
             spec = np.fft.rfft(segs[r : r + rows_per_call, s : s + per_call] * window)[..., keep]
             acc += (spec.real**2 + spec.imag**2).sum(axis=(0, 1))
     omega = 2.0 * np.pi * np.fft.rfftfreq(nperseg, dt)[keep]
-    return omega, acc * (dt / (rows * count * (window @ window)))
+    return omega, acc * (dt / (rows * n_seg * (window @ window)))
 
 
 def check_nperseg(nperseg: int) -> int:

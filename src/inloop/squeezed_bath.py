@@ -14,6 +14,15 @@ which again yields decoupled Bloch equations with
     gamma_y = [(1 - eta) + eta / L] / 2
     gamma_z = gamma_x + gamma_y,   C = 1.
 
+The jump operator (L + 1) sigma - (L - 1) sigma+ = sigma_x - i L sigma_y
+makes the squeezed channel quadratic in L,
+
+    D[sigma_x - i L sigma_y] = D[sigma_x] + L^2 D[sigma_y] + L X,
+    X = D[sigma_x - i sigma_y] - D[sigma_x] - D[sigma_y],
+
+so the generator is a weighted sum of four superoperator terms tabulated
+once, at import.
+
 For L < 1 the x decay is inhibited exactly as for in-loop squeezing at the
 same input noise level; the differences are that free squeezing broadens
 gamma_y (the conjugate quadrature must be anti-squeezed) and leaves the
@@ -52,11 +61,21 @@ def photon_parameters(level: float) -> tuple[float, float]:
     return n, m
 
 
+# The fixed terms D[sigma], D[sigma_x], D[sigma_y] and X, tabulated once.  The
+# expansion in L holds because D[A + L B] - D[A] - L^2 D[B] is linear in
+# real L.
+_DAMPING = dissipator(AtomOperator.lowering())
+_D_X = dissipator(AtomOperator(0.0, 1.0, 0.0, 0.0))
+_D_Y = dissipator(AtomOperator(0.0, 0.0, 1.0, 0.0))
+_CROSS = dissipator(AtomOperator(0.0, 1.0, -1.0j, 0.0)) - _D_X - _D_Y
+
+
 def build_squeezed_generator(eta: float, level: float) -> AffineGenerator:
     """Assemble the squeezed-bath master equation as an affine Bloch
     generator.  The single jump operator of the squeezed channel is
-    (L+1) sigma - (L-1) sigma+ = sigma_x - i L sigma_y."""
+    (L+1) sigma - (L-1) sigma+ = sigma_x - i L sigma_y, and its damping is
+    summed from the terms tabulated at import."""
     rs = free_rates(eta, level)
-    jump = AtomOperator(0.0, 1.0, -1.0j * level, 0.0)
-    g = (1.0 - eta) * dissipator(AtomOperator.lowering()) + eta / (4.0 * level) * dissipator(jump)
+    squeezed = _D_X + level * level * _D_Y + level * _CROSS
+    g = (1.0 - eta) * _DAMPING + eta / (4.0 * level) * squeezed
     return AffineGenerator(rs, g[1:, 1:], g[1:, 0])

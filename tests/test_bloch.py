@@ -271,6 +271,28 @@ def test_choi_check_rejects_times_that_are_not_finite_and_nonnegative(t):
         smallest_choi_eigenvalue(gen.drift, gen.constant, t)
 
 
+@pytest.mark.parametrize(
+    "drift, constant, match",
+    [
+        (np.eye(2), np.zeros(3), r"3x3 drift and a length-3 constant, got shapes \(2, 2\) and \(3,\)"),
+        (np.ones(3), np.zeros(3), r"got shapes \(3,\) and \(3,\)"),
+        (-np.eye(3), np.zeros(2), r"got shapes \(3, 3\) and \(2,\)"),
+        (-np.eye(3), 0.0, r"got shapes \(3, 3\) and \(\)"),
+        (np.diag([np.nan, -1.0, -1.0]), np.zeros(3), "drift and constant must be finite"),
+        (np.diag([np.inf, -1.0, -1.0]), np.zeros(3), "drift and constant must be finite"),
+        (-np.eye(3), np.array([0.0, np.nan, 0.0]), "drift and constant must be finite"),
+    ],
+    ids=["2x2-drift", "vector-drift", "short-constant", "scalar-constant", "nan-drift",
+         "inf-drift", "nan-constant"],
+)
+@pytest.mark.parametrize("t", [0.0, 0.1])
+def test_choi_check_rejects_malformed_and_non_finite_generators(drift, constant, match, t):
+    # typed domain errors, also at t = 0, where inf * 0 would warn; a vector
+    # drift would otherwise broadcast into three equal rows
+    with pytest.raises(ParameterError, match=match):
+        smallest_choi_eigenvalue(drift, constant, t)
+
+
 def test_choi_check_at_zero_time_is_the_identity_channel():
     # the identity channel's Choi matrix has eigenvalues (2, 0, 0, 0)
     gen = build_generator(-0.76, 0.8, 0.95)

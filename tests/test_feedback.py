@@ -4,7 +4,14 @@ steady state, exact propagation, and the squeezing identity."""
 import numpy as np
 import pytest
 
-from inloop.bloch import AtomState, smallest_choi_eigenvalue
+from inloop import feedback
+from inloop.bloch import (
+    AtomOperator,
+    AtomState,
+    coupling_commutator,
+    dissipator,
+    smallest_choi_eigenvalue,
+)
 from inloop.errors import ParameterError
 from inloop.feedback import (
     build_generator,
@@ -77,6 +84,33 @@ def test_generator_drift_matches_rates():
         assert np.allclose(gen.constant, [0.0, 0.0, -rs.C], atol=1e-12)
         # off-diagonal couplings vanish: the Bloch equations decouple
         assert np.max(np.abs(gen.drift - np.diag(np.diag(gen.drift)))) < 1e-12
+
+
+def test_generator_is_the_per_call_sum_of_bloch_superoperators():
+    # the terms tabulated at import give bitwise the generator summed from
+    # fresh inloop.bloch superoperators, over lam in (-eta, 10)
+    sigma, half_sy = AtomOperator.lowering(), AtomOperator(0.0, 0.0, 0.5, 0.0)
+    rng = np.random.default_rng(2311)
+    for _ in range(500):
+        eta, eps = rng.uniform(1e-3, 1.0, 2)
+        lam = rng.uniform(-eta + 1e-9, 10.0)
+        g = (
+            dissipator(sigma)
+            + lam * coupling_commutator(sigma, half_sy)
+            + lam * lam / (eta * eps) * dissipator(half_sy)
+        )
+        gen = build_generator(lam, eta, eps)
+        assert np.array_equal(gen.drift, g[1:, 1:]) and np.array_equal(gen.constant, g[1:, 0])
+
+
+def test_generator_calls_no_superoperator_function(monkeypatch):
+    def fail(*args):
+        raise AssertionError("superoperator evaluated per call")
+
+    monkeypatch.setattr(feedback, "dissipator", fail)
+    monkeypatch.setattr(feedback, "coupling_commutator", fail)
+    gen = build_generator(**FIG2)
+    assert np.allclose(np.diag(gen.drift), [-0.12, -0.5, -0.62], atol=1e-12)
 
 
 def test_single_pole_hybrid_generator_reaches_the_markovian_rates():

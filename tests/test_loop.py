@@ -550,6 +550,14 @@ def test_welch_spectrum_rejects_segments_without_interior_bin(nperseg, size, cla
         welch_spectrum(x, 0.01, nperseg=nperseg)
 
 
+@pytest.mark.parametrize("min_segments", [-1, 0, 2.5])
+def test_welch_spectrum_rejects_min_segments_that_are_not_positive_integers(min_segments):
+    # -1 would divide by zero in the default segment length
+    x = np.random.default_rng(0).standard_normal(1000)
+    with pytest.raises(ParameterError, match="min_segments must be a positive integer"):
+        welch_spectrum(x, 0.01, min_segments=min_segments)
+
+
 @pytest.mark.parametrize("rows", [100, 1000])
 def test_welch_spectrum_memory_does_not_grow_with_rows(rows):
     # segments are a strided view, transformed one bounded block at a time;

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from inloop.bloch import smallest_choi_eigenvalue
+from inloop import squeezed_bath
+from inloop.bloch import AtomOperator, dissipator, smallest_choi_eigenvalue
 from inloop.errors import ParameterError
 from inloop.feedback import propagate, rates_from_squeezing
 from inloop.squeezed_bath import (
@@ -48,6 +49,44 @@ def test_generator_eigenvalues_match_rates():
             evals, np.sort([-rs.gamma_x, -rs.gamma_y, -rs.gamma_z]), atol=1e-10
         )
         assert np.allclose(gen.constant, [0.0, 0.0, -1.0], atol=1e-12)
+
+
+def test_generator_is_the_per_call_sum_of_bloch_superoperators():
+    # the terms tabulated at import against D of the jump operator
+    # sigma_x - i L sigma_y evaluated per call, over eta in [0, 1] and
+    # L in (0.02, 10): the order of the sum differs, so they agree to
+    # rounding, within 1e-15 of the largest entry
+    rng = np.random.default_rng(2312)
+    for _ in range(500):
+        eta = rng.uniform(0.0, 1.0)
+        level = float(np.exp(rng.uniform(np.log(0.02), np.log(10.0))))
+        jump = AtomOperator(0.0, 1.0, -1.0j * level, 0.0)
+        g = (1.0 - eta) * dissipator(AtomOperator.lowering()) + eta / (4.0 * level) * dissipator(jump)
+        gen = build_squeezed_generator(eta, level)
+        err = max(np.max(np.abs(gen.drift - g[1:, 1:])), np.max(np.abs(gen.constant - g[1:, 0])))
+        assert err <= 1e-15 * np.max(np.abs(g)), (eta, level)
+
+
+@pytest.mark.parametrize("level", [0.02, 0.3, 1.0, 2.5, 10.0, -4.0])
+def test_squeezed_damping_is_quadratic_in_level(level):
+    # D[sigma_x - i L sigma_y] = D[sigma_x] + L^2 D[sigma_y] + L X for real L,
+    # with the cross term X = D[sigma_x - i sigma_y] - D[sigma_x] - D[sigma_y]
+    d_x = dissipator(AtomOperator(0.0, 1.0, 0.0, 0.0))
+    d_y = dissipator(AtomOperator(0.0, 0.0, 1.0, 0.0))
+    cross = dissipator(AtomOperator(0.0, 1.0, -1.0j, 0.0)) - d_x - d_y
+    direct = dissipator(AtomOperator(0.0, 1.0, -1.0j * level, 0.0))
+    assert np.max(np.abs(d_x + level * level * d_y + level * cross - direct)) <= (
+        1e-15 * np.max(np.abs(direct))
+    )
+
+
+def test_generator_calls_no_superoperator_function(monkeypatch):
+    def fail(*args):
+        raise AssertionError("superoperator evaluated per call")
+
+    monkeypatch.setattr(squeezed_bath, "dissipator", fail)
+    gen = build_squeezed_generator(0.8, 0.05)
+    assert np.allclose(np.diag(gen.drift), [-0.12, -8.1, -8.22], atol=1e-12)
 
 
 def test_photon_parameters_closed_form_and_roundtrip():
