@@ -33,20 +33,20 @@ same crossing test to the response of the discretized loop
 (`assert_discrete_stable`), whose exact reference is `loop_recursion_poles`.
 
 Gain sweeps at a fixed filter repeat work that does not depend on g, so
-three least-recently-used caches of STABILITY_CACHE_SIZE = 64 entries each
-keep it: h~ on the scan grid per filter (`_stability_response`, 64 KiB an
-entry), h~ on a spectrum's frequency grid per (filter, grid)
-(`_grid_response`, only for grids of at most 4,096 points, so at most
-64 KiB an entry plus the grid's 32 KiB key) and the crossing scan's result
-per `LoopConfig` (`ray_crossing_excess`), so a config's `is_stable` and the
-checks inside its spectra run one scan.  Cached responses are read-only;
-spectra, verdicts and messages are bitwise the uncached ones, and the
-spectra return fresh, writable arrays.
+two least-recently-used caches of STABILITY_CACHE_SIZE = 64 entries each
+keep it: h~ per (filter, frequency grid) (`_grid_response`, only for grids
+of at most 4,096 points, so at most 64 KiB an entry plus the grid's 32 KiB
+key), read by the spectra and, on the scan grid, by the crossing scan; and
+the crossing scan's result per `LoopConfig` (`ray_crossing_excess`), so a
+config's `is_stable` and the checks inside its spectra run one scan.
+Cached responses are read-only; spectra, verdicts and messages are bitwise
+the uncached ones, and the spectra return fresh, writable arrays.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +56,7 @@ from .errors import count, feedback_strength, fraction, positive
 
 # Stability-scan frequencies in units of 1/tau, log spaced over [1e-3, 1e3].
 UNIT_STABILITY_GRID = np.logspace(-3.0, 3.0, 4096)
-STABILITY_CACHE_SIZE = 64  # filters whose response on that grid is kept
+STABILITY_CACHE_SIZE = 64  # entries of each cache: filter responses, loop configs
 # FFT length for the real-axis crossings of the discretized loop response.
 CROSSING_GRID_POINTS = 1 << 16
 # Shortest Welch segment that leaves a frequency bin between zero and Nyquist.
@@ -277,14 +277,6 @@ def _real_axis_max(resp: np.ndarray, on_axis: np.ndarray) -> float:
 
 
 @functools.lru_cache(maxsize=STABILITY_CACHE_SIZE)
-def _stability_response(filt: LoopFilter) -> np.ndarray:
-    """h~ of `filt` on the stability grid, shared read-only by its checks."""
-    resp = filt.transfer(UNIT_STABILITY_GRID / filt.tau)
-    resp.flags.writeable = False
-    return resp
-
-
-@functools.lru_cache(maxsize=STABILITY_CACHE_SIZE)
 def _grid_response(filt: LoopFilter, grid_bytes: bytes, shape: tuple[int, ...]) -> np.ndarray:
     """h~ of `filt` on the float64 grid with these bytes and shape, shared
     read-only by the spectra."""
@@ -307,12 +299,12 @@ def ray_crossing_excess(cfg: LoopConfig) -> float:
     """Largest real part of the open-loop response g h~(w) where its locus
     crosses (or touches) the real axis; >= 1 signals an encirclement of
     the critical point, i.e. instability.  The zero-frequency value g is
-    always a real-axis point.  h~ is computed once for each of the 64 most
-    recent filters and kept read-only (`_stability_response`), and the
-    result once for each of the 64 most recent configs.  Configs that
-    compare equal share it: g = -0.0 may read the 0.0 of g = 0.0, and an
-    integer g the value of its float."""
-    resp = cfg.g * _stability_response(cfg.filter)
+    always a real-axis point.  h~ on the scan grid is read through the
+    spectra's response cache (`_spectrum_response`), and the result is
+    kept for each of the 64 most recent configs.  Configs that compare
+    equal share it: g = -0.0 may read the 0.0 of g = 0.0, and an integer g
+    the value of its float."""
+    resp = cfg.g * _spectrum_response(cfg.filter, UNIT_STABILITY_GRID / cfg.filter.tau)
     touches = np.abs(resp.imag) < 1e-14 * np.maximum(np.abs(resp.real), 1.0)
     return max(cfg.g, _real_axis_max(resp, touches))
 
@@ -549,22 +541,24 @@ def welch_spectrum(
     (Welch, IEEE Trans. Audio Electroacoust. 15, 70 (1967)).
 
     The default segment length is the largest power of two giving at least
-    `min_segments` segments per record.  The segment length is clamped to
-    the record length and must then be at least MIN_NPERSEG = 3, the
-    shortest that leaves a bin between zero and Nyquist, so a shorter
-    segment or record raises ParameterError.  Segments are a strided view,
+    `min_segments` segments per record.  A given segment length must be an
+    integer.  It is clamped to the record length and must then be at least
+    MIN_NPERSEG = 3, the shortest that leaves a bin between zero and
+    Nyquist, so a shorter segment or record raises ParameterError, as does
+    a dt that is not positive and finite.  Segments are a strided view,
     windowed and transformed WELCH_BLOCK samples (at least one segment) per
     call, so memory stays within a few times 8 max(WELCH_BLOCK, nperseg)
     bytes at any number of rows.  No detrending: the records analyzed here
     are zero mean by construction, and per-segment mean removal would notch
     the lowest frequency bins.
     """
+    positive("time step dt", dt)
     count("min_segments", min_segments)
     x = np.atleast_2d(np.asarray(samples, dtype=float))
     if nperseg is None:
         target = max(2 * x.shape[-1] // (min_segments + 1), 64)
         nperseg = 1 << int(np.log2(target))
-    nperseg = check_nperseg(int(min(nperseg, x.shape[-1])))
+    nperseg = check_nperseg(min(check_nperseg(nperseg), x.shape[-1]))  # also once clamped
     segs = np.lib.stride_tricks.sliding_window_view(x, nperseg, -1)[:, :: nperseg - nperseg // 2]
     rows, n_seg = segs.shape[:2]
     per_call = max(WELCH_BLOCK // nperseg, 1)
@@ -581,10 +575,13 @@ def welch_spectrum(
 
 
 def check_nperseg(nperseg: int) -> int:
-    """Return a Welch segment length, or raise if it is below MIN_NPERSEG."""
+    """Return a Welch segment length, or raise if it is not an integer or is
+    below MIN_NPERSEG."""
+    if isinstance(nperseg, bool) or not isinstance(nperseg, numbers.Integral):
+        raise ParameterError(f"nperseg must be an integer, got {nperseg!r}")
     if nperseg < MIN_NPERSEG:
         raise ParameterError(f"nperseg must be at least {MIN_NPERSEG}, got {nperseg}")
-    return nperseg
+    return int(nperseg)
 
 
 def band_average(omega: np.ndarray, values: np.ndarray, lo: float, hi: float) -> float:

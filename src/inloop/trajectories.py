@@ -71,23 +71,26 @@ Wide ensembles run on every CPU the process may use.  With geometric
 weights (flat ones have ratio 1) the n trajectories are cut into
 min(len(os.sched_getaffinity(0)), n // MIN_SLICE) contiguous slices of
 near-equal width; when that is 2 or more, slice 0 runs in this process and
-every other slice in a forked worker.  Each slice steps its trajectories
-with the same kernel and writes their rows of the record, current and drive
-arrays, which live in an anonymous shared mapping, so nothing is copied
-back.  Trajectories are independent columns of the elementwise step, so
-the outputs are bitwise the same for any number of CPUs.  A failure is
-reported as the whole ensemble would meet it.  A slice checks the guard
-once per noise block, on the Phi of every step in it, and stops with the
-exact step and peak of its first trip (the block's later steps ran on, and
-are discarded); the earliest step over the slices is raised, with the
-largest peak among the slices tripping there.  General weights
+every other slice in a worker forked from it, which this process reaps
+after its own slice, also when that raises.  Each slice steps its
+trajectories with the same kernel and writes their rows of the record,
+current and drive arrays, which live in an anonymous shared mapping, so
+nothing is copied back.  Trajectories are independent columns of the
+elementwise step, so the outputs are bitwise the same for any number of
+CPUs.  A guard trip is reported as the whole ensemble would meet it.  A
+slice checks the guard once per noise block, on the Phi of every step in
+it, and stops with the exact step and peak of its first trip (the block's
+later steps ran on, and are discarded); the earliest step over the slices
+is raised, with the largest peak among the slices tripping there.  A
+worker that dies or raises (its traceback goes to stderr) is a
+RuntimeError naming its slice and exit status; killing this process
+leaves its workers to finish their slices and exit.  General weights
 always run as one slice, because the BLAS product rounds differently with
 the width and offset of a slice.  One slice, the rule's result on one CPU
-and for narrow ensembles, is also taken where fork is unavailable, in a
-daemonic process (which may not have children) and while other threads are
-running (fork copies only the calling thread).  The workers' memory is not
-counted in this process's resource.getrusage(RUSAGE_SELF); it appears
-under RUSAGE_CHILDREN once they exit.
+and for narrow ensembles, is also taken without os.sched_getaffinity and
+while other threads run (fork copies only the calling thread).  The
+workers' memory shows under resource.RUSAGE_CHILDREN once they are
+reaped, not under RUSAGE_SELF.
 """
 
 from __future__ import annotations
@@ -95,6 +98,9 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -364,18 +370,8 @@ def _slice_count(n: int, filter_mode: str) -> int:
     if filter_mode == "general" or not hasattr(os, "sched_getaffinity"):
         return 1
     slices = min(len(os.sched_getaffinity(0)), n // MIN_SLICE)
-    if slices < 2:
-        return 1
-    import multiprocessing
-    import threading
-
-    # A daemonic process may not have children, and fork copies only the
-    # calling thread, so a lock another thread holds stays held in the child.
-    if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-        or threading.active_count() > 1
-    ):
+    # fork copies only the calling thread: a lock another thread holds stays held.
+    if slices < 2 or threading.active_count() > 1:
         return 1
     return slices
 
@@ -388,35 +384,40 @@ def _shared_empty(shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
 
 
-# The slice kernel of a forked pool worker.  The pool initializer sets it
-# in the worker process only; the worker inherits the kernel and its shared
-# output arrays through the fork, where pickling would send copies.
-_worker_slice = None
-
-
-def _adopt_slice(run_slice) -> None:
-    global _worker_slice
-    _worker_slice = run_slice
-
-
-def _run_adopted_slice(lo: int, hi: int):
-    return _worker_slice(lo, hi)
-
-
 def _run_forked(run_slice, cuts: list[int]) -> list:
     """Run slice i, trajectories [cuts[i], cuts[i + 1]), in a forked worker
-    for every i >= 1 and in this process for i = 0.  Returns each slice's
-    first failure or None; a dead worker raises BrokenProcessPool."""
-    from concurrent.futures.process import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    with ProcessPoolExecutor(
-        len(cuts) - 2, mp_context=get_context("fork"),
-        initializer=_adopt_slice, initargs=(run_slice,),
-    ) as pool:
-        futures = [pool.submit(_run_adopted_slice, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    for every i >= 1 and in this process for i = 0, and reap every worker,
+    also when this process's slice raises.  Returns each slice's first
+    failure or None; a worker that dies or raises is a RuntimeError."""
+    trips = _shared_empty((len(cuts) - 2, 2))  # each worker's (step, peak); step -1: none
+    pids = []
+    try:
+        for i, (lo, hi) in enumerate(zip(cuts[1:-1], cuts[2:])):
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on fork with other OS threads, as OpenBLAS's
+                # idle ones: no Python thread runs (_slice_count), and the
+                # forked geometric-mode step makes no BLAS call.
+                warnings.filterwarnings("ignore", ".* is multi-threaded", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the worker leaves here, and never into the caller's frames
+                status = 1
+                try:
+                    trips[i] = run_slice(lo, hi) or (-1, 0.0)
+                    status = 0
+                except BaseException:
+                    sys.excepthook(*sys.exc_info())  # as if uncaught: traceback to stderr
+                    sys.stderr.flush()
+                finally:
+                    os._exit(status)
+            pids.append(pid)
         failures = [run_slice(cuts[0], cuts[1])]
-        return failures + [f.result() for f in futures]
+    finally:
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for i, code in enumerate(codes, 1):
+        if code:
+            raise RuntimeError(f"trajectory slice {i} [{cuts[i]}, {cuts[i + 1]}) "
+                               f"failed: its worker exited with status {code}")
+    return failures + [None if step < 0 else (int(step), float(peak)) for step, peak in trips]
 
 
 def _plan(cfg: TrajectoryConfig) -> _Plan:

@@ -676,17 +676,30 @@ def test_analysis_operations_and_numerical_spectrum_leave_scipy_unloaded(tmp_pat
 
 
 def test_import_leaves_process_pool_modules_unloaded():
-    # only wide ensembles, which run on forked workers, import the pool
+    # neither importing the package nor a wide ensemble, whose slices run in
+    # forked workers, loads the process pool modules
     code = (
-        "import sys, inloop, inloop.cli; print([m for m in "
-        "('multiprocessing', 'concurrent.futures.process', 'mmap') if m in sys.modules])"
+        "import resource, sys, inloop, inloop.cli\n"
+        "from inloop.loop import LoopConfig, LoopFilter\n"
+        "from inloop.trajectories import MIN_SLICE, TrajectoryConfig, run_ensemble\n"
+        "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+        "print([m for m in (*pool, 'mmap') if m in sys.modules])\n"
+        "loop = LoopConfig(g=-3.0, eps=0.95, eta=0.8, filter=LoopFilter.rectangular(1e-2))\n"
+        "run_ensemble(TrajectoryConfig(loop=loop, dt=1e-3, duration=0.02,\n"
+        "                              n_traj=2 * MIN_SLICE + 37, seed=1))\n"
+        "forked = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime > 0\n"
+        "print(forked, [m for m in pool if m in sys.modules])\n"
     )
     r = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    imported, ensemble = r.stdout.splitlines()
+    assert imported == "[]"
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: the ensemble runs as one slice and forks nothing")
+    assert ensemble == "True []"
 
 
 def test_shared_options_reach_every_subcommand():

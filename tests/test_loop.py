@@ -10,6 +10,7 @@ import pytest
 from inloop import loop
 from inloop.errors import InstabilityError, ParameterError
 from inloop.loop import (
+    UNIT_STABILITY_GRID,
     LoopConfig,
     LoopFilter,
     assert_discrete_stable,
@@ -254,31 +255,42 @@ def test_cached_crossing_excess_is_bitwise_the_uncached_scan(filt):
     assert stable > 0
     # one crossing scan per config, however many checks read it
     assert ray_crossing_excess.cache_info().misses == gains.size
-    # entries for 0.0, the list and the 2,001-point grid; none for 5,000 points
+    # entries for the scan grid, 0.0, the list and the 2,001-point grid;
+    # none for 5,000 points
     info = loop._grid_response.cache_info()
-    assert (info.misses, info.currsize) == (3, 3)
-    # per stable gain: two spectra on four cached grids, again on the three arrays
-    assert info.hits == (2 * 4 + 2 * 3) * stable - 3
+    assert (info.misses, info.currsize) == (4, 4)
+    # every crossing scan after the first reads the scan grid's entry; per
+    # stable gain, two spectra on four cached grids, again on the three arrays
+    assert info.hits == (gains.size - 1) + (2 * 4 + 2 * 3) * stable - 3
+
+
+def stability_response(filt):
+    return loop._spectrum_response(filt, UNIT_STABILITY_GRID / filt.tau)
 
 
 def test_cached_stability_response_is_read_only():
-    resp = loop._stability_response(RECT)
+    resp = stability_response(RECT)
     assert not resp.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         resp[0] = 0.0
 
 
 def test_equal_filters_share_one_stability_response():
-    loop._stability_response.cache_clear()
-    first = loop._stability_response(LoopFilter.exponential(0.8, 0.2))
-    second = loop._stability_response(LoopFilter.exponential(0.8, 0.2))
+    loop._grid_response.cache_clear()
+    first_filter = LoopFilter.exponential(0.8, 0.2)
+    first = stability_response(first_filter)
+    second = stability_response(LoopFilter.exponential(0.8, 0.2))
     assert second is first
-    assert loop._stability_response.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert loop._grid_response.cache_info()[:2] == (1, 1)  # (hits, misses)
     # same tau, different samples: two entries
-    a = loop._stability_response(LoopFilter.from_samples(0.8, [1.0, 2.0, 1.0]))
-    b = loop._stability_response(LoopFilter.from_samples(0.8, [1.0, 0.5, 1.0]))
-    assert loop._stability_response.cache_info()[:2] == (1, 3)
+    a = stability_response(LoopFilter.from_samples(0.8, [1.0, 2.0, 1.0]))
+    b = stability_response(LoopFilter.from_samples(0.8, [1.0, 0.5, 1.0]))
+    assert loop._grid_response.cache_info()[:2] == (1, 3)
     assert not np.array_equal(a, b)
+    # the crossing scan reads the same entry
+    ray_crossing_excess.cache_clear()
+    ray_crossing_excess(LoopConfig(g=-2.0, eps=0.9, eta=0.8, filter=first_filter))
+    assert loop._grid_response.cache_info()[:2] == (2, 3)
 
 
 @pytest.mark.parametrize("samples", [[0.0, 3.0, 1, 2.0], np.array([0.0, 3.0, 1.0, 2.0])],
@@ -556,6 +568,25 @@ def test_welch_spectrum_rejects_min_segments_that_are_not_positive_integers(min_
     x = np.random.default_rng(0).standard_normal(1000)
     with pytest.raises(ParameterError, match="min_segments must be a positive integer"):
         welch_spectrum(x, 0.01, min_segments=min_segments)
+
+
+@pytest.mark.parametrize("dt", [-0.01, 0.0, np.nan, np.inf])
+def test_welch_spectrum_rejects_a_step_that_is_not_positive_and_finite(dt):
+    # -0.01 gave negative frequencies and a negative PSD, nan NaN arrays and
+    # 0 a ZeroDivisionError
+    x = np.random.default_rng(0).standard_normal(1000)
+    with pytest.raises(ParameterError, match="time step dt must be positive and finite"):
+        welch_spectrum(x, dt, nperseg=64)
+
+
+@pytest.mark.parametrize("nperseg", [100.7, 64.0, True, "64"])
+def test_welch_spectrum_rejects_segment_lengths_that_are_not_integers(nperseg):
+    # 100.7 was truncated to 100
+    x = np.random.default_rng(0).standard_normal(1000)
+    with pytest.raises(ParameterError, match=f"nperseg must be an integer, got {nperseg!r}$"):
+        welch_spectrum(x, 0.01, nperseg=nperseg)
+    omega, _ = welch_spectrum(x, 0.01, nperseg=np.int64(64))
+    assert omega.size == 31
 
 
 @pytest.mark.parametrize("rows", [100, 1000])

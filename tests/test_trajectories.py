@@ -6,10 +6,10 @@ import hashlib
 import json
 import multiprocessing
 import os
+import resource
 import subprocess
 import sys
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -697,30 +697,88 @@ def test_one_cpu_run_matches_default_affinity_run():
 
 def _ensemble_in_pool_worker():
     res = run_ensemble(slice_config(GEOMETRIC))
-    return res.mean, res.records
+    return res.mean, res.records, resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
 
 
-def test_daemonic_pool_worker_runs_one_slice():
-    # a daemonic process may not have children: the ensemble stays in it
+def test_daemonic_pool_worker_forks_its_slices():
+    # only multiprocessing forbids a daemonic process children: its own
+    # forks run the slices
     expected = run_ensemble(slice_config(GEOMETRIC))
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        mean, records = pool.apply_async(_ensemble_in_pool_worker).get(timeout=300)
+        mean, records, child_utime = pool.apply_async(_ensemble_in_pool_worker).get(timeout=300)
     assert mean.tobytes() == expected.mean.tobytes()
     assert records.tobytes() == expected.records.tobytes()
+    assert (child_utime > 0) == (len(os.sched_getaffinity(0)) > 1)
 
 
-def test_dead_worker_raises_broken_pool():
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def rng_failing_in(where, fail):
+    """Stand-in for np.random.default_rng that calls `fail` in the test
+    process (where="parent") or in its forked workers (where="worker")."""
     parent = os.getpid()
 
-    def die_in_worker(seed):
-        if os.getpid() != parent:
-            os._exit(1)
+    def default_rng(seed):
+        if (os.getpid() == parent) == (where == "parent"):
+            fail()
         return REAL_RNG(seed)
 
+    return mock.patch.object(np.random, "default_rng", default_rng)
+
+
+def raise_value_error():
+    raise ValueError("no stream here")
+
+
+def test_dead_worker_raises_runtime_error():
     plan = _plan(slice_config(UNIFORM, duration=0.01))
-    with mock.patch.object(np.random, "default_rng", die_in_worker):
-        with pytest.raises(BrokenProcessPool):
+    with rng_failing_in("worker", lambda: os._exit(1)):
+        with pytest.raises(RuntimeError, match=r"^trajectory slice 1 \[300, 549\) failed: "
+                                               r"its worker exited with status 1$"):
             _run_cuts(plan, [0, 300, WIDE], forked=True)
+    assert_no_child_left()
+
+
+def test_raising_worker_is_a_runtime_error_after_its_traceback(capfd):
+    plan = _plan(slice_config(UNIFORM, duration=0.01))
+    with rng_failing_in("worker", raise_value_error):
+        with pytest.raises(RuntimeError, match=r"^trajectory slice 1 \[64, 549\) failed: "
+                                               r"its worker exited with status 1$"):
+            _run_cuts(plan, [0, 64, WIDE], forked=True)
+    assert_no_child_left()
+    err = capfd.readouterr().err
+    assert "Traceback" in err and err.rstrip().endswith("ValueError: no stream here")
+
+
+def test_raising_parent_slice_reaps_every_worker():
+    plan = _plan(slice_config(UNIFORM, duration=0.01))
+    with rng_failing_in("parent", raise_value_error):
+        with pytest.raises(ValueError, match="no stream here"):
+            _run_cuts(plan, [0, 7, 300, WIDE], forked=True)
+    assert_no_child_left()
+
+
+def test_fork_warning_of_a_multi_threaded_process_loses_no_worker():
+    # Python 3.12+ warns in the parent, once the child runs, when a process
+    # with other OS threads forks; here a stand-in fork warns as CPython does
+    real_fork = os.fork
+
+    def warning_fork():
+        pid = real_fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    cfg = slice_config(GEOMETRIC, duration=0.02)
+    whole = _run_cuts(_plan(cfg), [0, WIDE], forked=False)
+    with warnings.catch_warnings(), mock.patch.object(os, "fork", warning_fork):
+        warnings.simplefilter("error", DeprecationWarning)
+        assert_bitwise_equal(_run_cuts(_plan(cfg), ODD_CUTS, forked=True), whole)
+    assert_no_child_left()
 
 
 def test_open_loop_ensemble_matches_master_equation():
