@@ -31,14 +31,17 @@ its practical form: the loop is unstable iff the open-loop response
 g h~(w) crosses the real axis at or beyond +1.  Simulations also apply the
 same crossing test to the response of the discretized loop
 (`assert_discrete_stable`), whose exact reference is `loop_recursion_poles`.
+The Monte Carlo loop solves it in sequence only for each block's last
+min(m, LOOP_BLOCK) samples, which the next block reads, and batches the rest.
 
 Gain sweeps at a fixed filter repeat work that does not depend on g, so
 two least-recently-used caches of STABILITY_CACHE_SIZE = 64 entries each
 keep it: h~ per (filter, frequency grid) (`_grid_response`, only for grids
 of at most 4,096 points, so at most 64 KiB an entry plus the grid's 32 KiB
-key), read by the spectra and, on the scan grid, by the crossing scan; and
-the crossing scan's result per `LoopConfig` (`ray_crossing_excess`), so a
-config's `is_stable` and the checks inside its spectra run one scan.
+key; the scan grid's is keyed by the filter alone), read by the spectra
+and, on the scan grid, by the crossing scan; and the crossing scan's result
+per `LoopConfig` (`ray_crossing_excess`), so a config's `is_stable` and the
+checks inside its spectra run one scan.
 Cached responses are read-only; spectra, verdicts and messages are bitwise
 the uncached ones, and the spectra return fresh, writable arrays.
 """
@@ -64,11 +67,11 @@ MIN_NPERSEG = 3
 # Samples windowed and Fourier transformed per call in a Welch estimate: at
 # most one such block of segments is held at a time, whatever the ensemble.
 WELCH_BLOCK = 1 << 16
-# Loop-recursion solve: samples per block and per chunk.  A chunk's one
-# (4 x 256) @ (256 x 256) product is small enough that OpenBLAS runs it on the
-# calling thread, so no thread count changes its rounding or waits on a core.
+# Loop-recursion solve: samples per block and per chunk.  Every product of a
+# chunk, (4 x 256) @ (256 x 256) tiles and at most 16 x 128 x 128 for the heads,
+# stays within 262,144 multiply-adds, which OpenBLAS runs on the calling thread.
 LOOP_BLOCK = 256
-LOOP_CHUNK = 4 * LOOP_BLOCK
+LOOP_CHUNK = 16 * LOOP_BLOCK
 
 
 @dataclass(frozen=True)
@@ -277,10 +280,11 @@ def _real_axis_max(resp: np.ndarray, on_axis: np.ndarray) -> float:
 
 
 @functools.lru_cache(maxsize=STABILITY_CACHE_SIZE)
-def _grid_response(filt: LoopFilter, grid_bytes: bytes, shape: tuple[int, ...]) -> np.ndarray:
-    """h~ of `filt` on the float64 grid with these bytes and shape, shared
-    read-only by the spectra."""
-    resp = np.asarray(filt.transfer(np.frombuffer(grid_bytes).reshape(shape)))
+def _grid_response(filt: LoopFilter, grid_bytes=None, shape=UNIT_STABILITY_GRID.shape) -> np.ndarray:
+    """h~ of `filt`, shared read-only, on the float64 grid with these bytes
+    and shape, or without them on the scan grid UNIT_STABILITY_GRID / tau."""
+    grid = UNIT_STABILITY_GRID / filt.tau if grid_bytes is None else np.frombuffer(grid_bytes)
+    resp = np.asarray(filt.transfer(grid.reshape(shape)))
     resp.flags.writeable = False
     return resp
 
@@ -299,12 +303,12 @@ def ray_crossing_excess(cfg: LoopConfig) -> float:
     """Largest real part of the open-loop response g h~(w) where its locus
     crosses (or touches) the real axis; >= 1 signals an encirclement of
     the critical point, i.e. instability.  The zero-frequency value g is
-    always a real-axis point.  h~ on the scan grid is read through the
-    spectra's response cache (`_spectrum_response`), and the result is
+    always a real-axis point.  h~ on the scan grid is read from the
+    spectra's response cache (`_grid_response`), and the result is
     kept for each of the 64 most recent configs.  Configs that compare
     equal share it: g = -0.0 may read the 0.0 of g = 0.0, and an integer g
     the value of its float."""
-    resp = cfg.g * _spectrum_response(cfg.filter, UNIT_STABILITY_GRID / cfg.filter.tau)
+    resp = cfg.g * _grid_response(cfg.filter)
     touches = np.abs(resp.imag) < 1e-14 * np.maximum(np.abs(resp.real), 1.0)
     return max(cfg.g, _real_axis_max(resp, touches))
 
@@ -393,8 +397,9 @@ class LoopRecord:
 
 
 def loop_recursion_poles(cfg: LoopConfig, dt: float) -> np.ndarray:
-    """Poles of the discretized loop recursion I_k = n_k + g sum w_j I_{k-j};
-    the recursion is stable iff all lie inside the unit circle.
+    """Poles of the discretized loop recursion I_k = n_k + g sum w_j I_{k-j}
+    (np.roots's, bitwise: companion-matrix eigenvalues, a zero per trailing
+    zero tap); the recursion is stable iff all lie inside the unit circle.
 
     This is the exact reference for `assert_discrete_stable`, which
     simulations use instead: the companion-matrix eigenvalues cost O(m^3)
@@ -402,8 +407,11 @@ def loop_recursion_poles(cfg: LoopConfig, dt: float) -> np.ndarray:
     about a millisecond at any m, and the two verdicts agree on the
     filters, steps and gains the tests sweep.
     """
-    w = cfg.filter.discretize(dt)
-    return np.roots(np.concatenate(([1.0], -cfg.g * w)))
+    a = cfg.g * cfg.filter.discretize(dt)
+    m = np.flatnonzero(np.concatenate(([1.0], a)))[-1]  # taps up to the last nonzero one
+    companion = np.eye(m, k=-1)
+    companion[:1] = a[:m]
+    return np.concatenate((np.linalg.eigvals(companion), np.zeros(a.size - m)))
 
 
 def discrete_loop_transfer(filt: LoopFilter, dt: float, omega) -> np.ndarray:
@@ -468,14 +476,17 @@ def simulate_classical_loop(
     B = LOOP_BLOCK samples: each block is its inputs times the Toeplitz tile
     HT[l, i] = h[i - l] of the first B impulse-response terms, plus the
     carry K @ I[bB - m : bB] of the m samples before it, K = H A being the
-    tile times the taps' pull on the block.  This is the recursion exactly,
-    rounded in another order than a sample-by-sample filter
+    tile times the taps' pull on the block.  Only a block's last q = min(m, B)
+    outputs feed the next carry, so only they are solved block by block; the
+    first B - q of a chunk's 16 blocks follow in one product with K's first
+    B - q rows (Burrus 1972, block realization).  This is the recursion
+    exactly, rounded in another order than a sample-by-sample filter
     (scipy.signal.lfilter agrees to about 1e-15 relative).  The noises are
     drawn into the returned arrays, and the solve holds about 8 B (B + m)
-    bytes and a few chunks besides, at any record length.  K and the carry
-    are summed by `np.einsum`, and each tile product runs on one BLAS
-    thread, so the records do not depend on the BLAS thread count.  Welch
-    estimates of X and I converge to S_in and S_hom.
+    bytes and a few chunks besides, at any record length.  The tails'
+    carries are summed by `np.einsum` and every product runs on one BLAS
+    thread (see LOOP_CHUNK), so the records do not depend on the BLAS
+    thread count.  Welch estimates of X and I converge to S_in and S_hom.
     """
     count("seed", seed, zero=True)
     positive("dt and duration", dt, duration)
@@ -485,7 +496,7 @@ def simulate_classical_loop(
         raise ParameterError("duration too short for the requested dt")
     w = assert_discrete_stable(cfg.filter, cfg.g, dt)
     ht, k = _recursion_tiles(cfg.g * w)
-    m, b_len = w.size, LOOP_BLOCK
+    m, b_len, head = w.size, LOOP_BLOCK, max(LOOP_BLOCK - w.size, 0)
 
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(dt)
@@ -494,13 +505,17 @@ def simulate_classical_loop(
     current *= scale
     for s in range(0, n, LOOP_CHUNK):
         e = min(s + LOOP_CHUNK, n)
-        noise = np.zeros(LOOP_CHUNK)
+        noise = np.zeros(-((s - e) // (4 * b_len)) * 4 * b_len)  # in whole (4 x B) tiles
         noise[: e - s] = np.sqrt(cfg.eps) * x_in[s:e] + np.sqrt(1.0 - cfg.eps) * current[s:e]
-        y = (noise.reshape(-1, b_len) @ ht).ravel()
+        y = (noise.reshape(-1, 4, b_len) @ ht).ravel()
         for b in range(s, e, b_len):
-            lo, blk = max(b - m, 0), y[b - s : min(b + b_len, e) - s]
-            blk += np.einsum("lq,q->l", k[: blk.size, m - (b - lo) :], current[lo:b])
-            current[b : b + blk.size] = blk
+            lo, tail = max(b - m, 0), y[b - s + head : min(b + b_len, e) - s]
+            tail += np.einsum("lq,q->l", k[head : head + tail.size, m - (b - lo) :], current[lo:b])
+            current[b + head : b + head + tail.size] = tail
+        if head:  # the first B - q outputs of each block: its m predecessors times K
+            prev = current[max(s - b_len, 0) : b].reshape(-1, b_len)[:, head:]
+            y.reshape(-1, b_len)[int(s == 0) : (b - s) // b_len + 1, :head] += prev @ k[:head].T
+        current[s:e] = y[: e - s]
         x_in[s:e] += (current[s:e] - noise[: e - s]) / np.sqrt(cfg.eps)
     return LoopRecord(dt=dt, seed=seed, config=cfg, x_in=x_in, current=current)
 

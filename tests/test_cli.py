@@ -487,13 +487,13 @@ def test_loop_sim_emit_records_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "config",
-    [LOOP_CONFIG, LOOP_CONFIG.replace("rectangular", "single_pole").replace("200", "205")],
+    [LOOP_CONFIG, LOOP_CONFIG.replace("rectangular", "single_pole").replace("200", "246")],
     ids=["rectangular", "single-pole"],
 )
 def test_loop_sim_does_not_depend_on_blas_threads(tmp_path, config):
     # the records' SHA-256 and every output byte match between one BLAS
-    # thread and the default; the single pole has 1,151 taps at this dt, and
-    # its 10,250 samples end in a chunk of one block
+    # thread and two; the single pole has 1,151 taps at this dt, and
+    # its 12,300 samples end in a 16-block chunk of one block
     (tmp_path / "loop.cfg").write_text(config + "emit_records = true\n")
     code = (
         "import hashlib, sys, inloop.cli as cli; simulate = cli.simulate_classical_loop\n"
@@ -508,7 +508,7 @@ def test_loop_sim_does_not_depend_on_blas_threads(tmp_path, config):
     default = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     runs = []
     for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}),
-                          ("default", {})):
+                          ("two", {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"})):
         env = dict(default, PYTHONPATH=SRC, **threads)
         r = subprocess.run([sys.executable, "-c", code, name], capture_output=True,
                            text=True, env=env, cwd=tmp_path)

@@ -1,8 +1,12 @@
 """Classical loop: transfer functions, spectra, gain conversions, stability,
 and the Monte Carlo loop against the analytic spectra."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,6 @@ import pytest
 from inloop import loop
 from inloop.errors import InstabilityError, ParameterError
 from inloop.loop import (
-    UNIT_STABILITY_GRID,
     LoopConfig,
     LoopFilter,
     assert_discrete_stable,
@@ -265,7 +268,7 @@ def test_cached_crossing_excess_is_bitwise_the_uncached_scan(filt):
 
 
 def stability_response(filt):
-    return loop._spectrum_response(filt, UNIT_STABILITY_GRID / filt.tau)
+    return loop._grid_response(filt)
 
 
 def test_cached_stability_response_is_read_only():
@@ -491,6 +494,28 @@ def test_discrete_poles_inside_unit_circle_when_stable():
     assert np.max(np.abs(poles)) < 1.0
 
 
+# A sampled filter whose last taps are zero: np.roots returns them as zero roots.
+ZERO_TAIL = LoopFilter.from_samples(1.0, np.r_[np.ones(8), np.zeros(8)])
+
+
+@pytest.mark.parametrize(
+    "filt, dt",
+    [(RECT, 0.02), (LoopFilter.exponential(1.0), 0.02), (LoopFilter.single_pole(0.1), 0.01),
+     (EXP7, 0.02), (DELAY64, 0.02), (ZERO_TAIL, 0.02)],
+    ids=["rectangular", "exponential", "single-pole", "exp7", "delay64", "zero-tail"],
+)
+def test_recursion_poles_are_np_roots_bitwise(filt, dt):
+    w = filt.discretize(dt)
+    for g in (-19.0, -0.8, 0.0, 0.5):
+        cfg = LoopConfig(g=g, eps=0.9, eta=0.8, filter=filt)
+        poles = loop_recursion_poles(cfg, dt)
+        assert _same_bits(poles, np.roots(np.concatenate(([1.0], -g * w)))), g
+    # at g = 0.5, the last zero taps and only they are zero roots
+    trailing = w.size - 1 - np.flatnonzero(w)[-1]
+    assert (trailing > 0) == (filt is ZERO_TAIL)
+    assert np.array_equal(np.flatnonzero(poles == 0.0), np.arange(w.size - trailing, w.size))
+
+
 def test_discrete_crossing_agrees_with_recursion_poles():
     # the crossing scan simulations use against the exact recursion poles,
     # over flat, truncated-exponential, single-pole and sampled filters
@@ -700,7 +725,21 @@ def test_simulation_discretizes_once(filt, monkeypatch):
     assert calls == [0.02]
 
 
-@pytest.mark.parametrize("size", [200, 2048, 5001], ids=["below-block", "blocks", "ragged"])
+# Filters of LOOP_BLOCK - 1, LOOP_BLOCK and LOOP_BLOCK + 1 taps at dt = 0.02,
+# where the batched block heads give way to the full carry.
+BLOCK_EDGE_FILTERS = [LoopFilter.rectangular((loop.LOOP_BLOCK - 1) * 0.02),
+                      LoopFilter.exponential(loop.LOOP_BLOCK * 0.02),
+                      LoopFilter.rectangular((loop.LOOP_BLOCK + 1) * 0.02)]
+
+
+def test_block_edge_filters_straddle_the_block():
+    sizes = [filt.discretize(0.02).size for filt in BLOCK_EDGE_FILTERS]
+    assert sizes == [loop.LOOP_BLOCK - 1, loop.LOOP_BLOCK, loop.LOOP_BLOCK + 1]
+
+
+@pytest.mark.parametrize(
+    "size", [200, 2048, 5001, loop.LOOP_CHUNK + 1], ids=["below-block", "blocks", "ragged", "chunk+1"]
+)
 @pytest.mark.parametrize(
     "filt, g",
     [
@@ -710,8 +749,10 @@ def test_simulation_discretizes_once(filt, monkeypatch):
         (EXP7, -3.0),
         (DELAY64, -0.8),
         (RECT, 0.0),
+        *[(filt, -19.0) for filt in BLOCK_EDGE_FILTERS],
     ],
-    ids=["rectangular", "exponential", "single-pole", "exp7", "delay64", "open-loop"],
+    ids=["rectangular", "exponential", "single-pole", "exp7", "delay64", "open-loop",
+         "block-1-taps", "block-taps", "block+1-taps"],
 )
 def test_simulation_matches_lfilter_oracle(filt, g, size):
     # the blocked solve is the recursion exactly, up to rounding; at
@@ -739,6 +780,31 @@ def test_simulation_memory_is_the_two_records(filt):
         tracemalloc.stop()
     assert rec.x_in.size == 10**6
     assert peak <= rec.x_in.nbytes + rec.current.nbytes + 4 * 2**20
+
+
+def test_records_do_not_depend_on_blas_threads():
+    # SHA-256 of the records under one and under two OpenBLAS threads: 128
+    # taps make the largest block-head product, 16 x 128 x 128, in each of
+    # five 16-block chunks and a ragged sixth
+    code = (
+        "import hashlib\n"
+        "from inloop.loop import LOOP_CHUNK, LoopConfig, LoopFilter, simulate_classical_loop\n"
+        "filt = LoopFilter.rectangular(1.28)\n"
+        "assert filt.discretize(0.01).size == 128\n"
+        "cfg = LoopConfig(g=-19.0, eps=0.95, eta=0.8, filter=filt)\n"
+        "rec = simulate_classical_loop(cfg, 0.01, (5 * LOOP_CHUNK + 300) * 0.01, 23)\n"
+        "print(rec.current.size, hashlib.sha256(rec.x_in.tobytes() + rec.current.tobytes()).hexdigest())\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(loop.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads))
+        assert r.returncode == 0, r.stderr
+        digests.append(r.stdout)
+    assert digests[0].split()[0] == str(5 * loop.LOOP_CHUNK + 300)
+    assert digests[0] == digests[1]
 
 
 def test_loop_record_reproducible():
