@@ -28,22 +28,21 @@ conservative for filters whose response crosses the real axis only at
 zeros (the rectangular filter with strongly negative gain is a stable
 example it would reject).  The check used here is the Nyquist criterion in
 its practical form: the loop is unstable iff the open-loop response
-g h~(w) crosses the real axis at or beyond +1.  Simulations also apply the
-same crossing test to the response of the discretized loop
-(`assert_discrete_stable`), whose exact reference is `loop_recursion_poles`.
-The Monte Carlo loop solves it in sequence only for each block's last
-min(m, LOOP_BLOCK) samples, which the next block reads, and batches the rest.
+g h~(w) crosses the real axis at or beyond +1.  Where it meets the axis
+does not depend on g, so a filter, and a filter discretized at a step,
+each have one `stable_gain_interval` of g; simulations check both, the
+latter by `assert_discrete_stable`.  The Monte Carlo loop solves the recursion in
+sequence only for each block's last min(m, LOOP_BLOCK) samples, which the
+next block reads, and batches the rest.
 
 Gain sweeps at a fixed filter repeat work that does not depend on g, so
 two least-recently-used caches of STABILITY_CACHE_SIZE = 64 entries each
-keep it: h~ per (filter, frequency grid) (`_grid_response`, only for grids
-of at most 4,096 points, so at most 64 KiB an entry plus the grid's 32 KiB
-key; the scan grid's is keyed by the filter alone), read by the spectra
-and, on the scan grid, by the crossing scan; and the crossing scan's result
-per `LoopConfig` (`ray_crossing_excess`), so a config's `is_stable` and the
-checks inside its spectra run one scan.
-Cached responses are read-only; spectra, verdicts and messages are bitwise
-the uncached ones, and the spectra return fresh, writable arrays.
+keep it: the stable gain interval per filter and per (filter, weights at
+a step) (`_gain_interval`), so a sweep over g, eps and eta scans once per
+filter and step; and h~ per (filter, frequency grid) for the spectra
+(`_grid_response`, grids of at most 4,096 points only, so at most 64 KiB an
+entry plus the grid's 32 KiB key).  Cached responses are read-only; spectra
+are bitwise the uncached ones, and fresh, writable arrays.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from .errors import count, feedback_strength, fraction, positive
 
 # Stability-scan frequencies in units of 1/tau, log spaced over [1e-3, 1e3].
 UNIT_STABILITY_GRID = np.logspace(-3.0, 3.0, 4096)
-STABILITY_CACHE_SIZE = 64  # entries of each cache: filter responses, loop configs
+STABILITY_CACHE_SIZE = 64  # entries of each cache: gain intervals, filter responses
 # FFT length for the real-axis crossings of the discretized loop response.
 CROSSING_GRID_POINTS = 1 << 16
 # Shortest Welch segment that leaves a frequency bin between zero and Nyquist.
@@ -267,24 +266,51 @@ class LoopConfig:
         fraction("mode matching eta", self.eta, zero=True)
 
 
-def _real_axis_max(resp: np.ndarray, on_axis: np.ndarray) -> float:
-    """Largest real part of a sampled response at the points `on_axis`
-    marks as lying on the real axis and at its crossings between samples,
-    found by linear interpolation at each sign flip of the imaginary part;
-    -inf if there are neither."""
+@functools.lru_cache(maxsize=STABILITY_CACHE_SIZE)
+def _gain_interval(filt: LoopFilter, weights: bytes | None) -> tuple[float, float]:
+    """`stable_gain_interval` of `filt`, or of its discretized loop given
+    the float64 bytes of its weights at the step: keyed by the weights, not
+    dt, so that `assert_discrete_stable` discretizes once."""
+    if weights is None:  # h~(0) = 1, then h~ on the scan grid
+        resp = np.concatenate(([1.0], filt.transfer(UNIT_STABILITY_GRID / filt.tau)))
+        on_axis = np.abs(resp.imag) < 1e-14 * np.maximum(np.abs(resp.real), 1.0)
+    else:  # points exactly on the real axis, theta = 0 and pi among them
+        resp = np.fft.rfft(np.concatenate(([0.0], np.frombuffer(weights))), n=CROSSING_GRID_POINTS)
+        on_axis = resp.imag == 0.0
     re, im = resp.real, resp.imag
     flips = np.nonzero(im[:-1] * im[1:] < 0.0)[0]
     frac = im[flips] / (im[flips] - im[flips + 1])
-    cross = re[flips] + frac * (re[flips + 1] - re[flips])
-    return float(np.max(np.concatenate((cross, re[on_axis])), initial=-np.inf))
+    v = np.concatenate((re[flips] + frac * (re[flips + 1] - re[flips]), re[on_axis]))
+    lo, hi = float(v.min()), float(v.max())
+    return (1.0 / lo if lo < 0.0 else -np.inf), 1.0 / hi
+
+
+def stable_gain_interval(filt: LoopFilter, dt: float | None = None) -> tuple[float, float]:
+    """Open interval (g_lo, g_hi) of the gains g at which the loop through
+    `filt` is stable, or with dt, the loop discretized at that step.
+
+    g h~ crosses the real axis where h~ does, at real values v independent
+    of g, so it crosses at or beyond +1 iff g v >= 1 for some v: g_lo =
+    1/min v if min v < 0, else -inf, and g_hi = 1/max v.  The v are read off
+    h~ on the scan grid UNIT_STABILITY_GRID / tau, with h~(0) = 1 among
+    them, or off W(exp(-i theta)) = sum_j w_j exp(-i j theta) at
+    CROSSING_GRID_POINTS // 2 + 1 angles in [0, pi]: at the points on the
+    real axis, and between samples by linear interpolation at each sign
+    flip of the imaginary part.
+
+    Discretization can shrink the interval: the rectangular window over m
+    taps leaks -1/m at its first phase crossing (a Dirichlet sidelobe), so
+    g_lo is about -m, though the continuous rectangular loop is stable at
+    any g < 1.
+    """
+    return _gain_interval(filt, None if dt is None else filt.discretize(dt).tobytes())
 
 
 @functools.lru_cache(maxsize=STABILITY_CACHE_SIZE)
-def _grid_response(filt: LoopFilter, grid_bytes=None, shape=UNIT_STABILITY_GRID.shape) -> np.ndarray:
+def _grid_response(filt: LoopFilter, grid_bytes: bytes, shape: tuple[int, ...]) -> np.ndarray:
     """h~ of `filt`, shared read-only, on the float64 grid with these bytes
-    and shape, or without them on the scan grid UNIT_STABILITY_GRID / tau."""
-    grid = UNIT_STABILITY_GRID / filt.tau if grid_bytes is None else np.frombuffer(grid_bytes)
-    resp = np.asarray(filt.transfer(grid.reshape(shape)))
+    and shape."""
+    resp = np.asarray(filt.transfer(np.frombuffer(grid_bytes).reshape(shape)))
     resp.flags.writeable = False
     return resp
 
@@ -298,31 +324,17 @@ def _spectrum_response(filt: LoopFilter, omega) -> np.ndarray:
     return _grid_response(filt, w.tobytes(), w.shape)
 
 
-@functools.lru_cache(maxsize=STABILITY_CACHE_SIZE)
-def ray_crossing_excess(cfg: LoopConfig) -> float:
-    """Largest real part of the open-loop response g h~(w) where its locus
-    crosses (or touches) the real axis; >= 1 signals an encirclement of
-    the critical point, i.e. instability.  The zero-frequency value g is
-    always a real-axis point.  h~ on the scan grid is read from the
-    spectra's response cache (`_grid_response`), and the result is
-    kept for each of the 64 most recent configs.  Configs that compare
-    equal share it: g = -0.0 may read the 0.0 of g = 0.0, and an integer g
-    the value of its float."""
-    resp = cfg.g * _grid_response(cfg.filter)
-    touches = np.abs(resp.imag) < 1e-14 * np.maximum(np.abs(resp.real), 1.0)
-    return max(cfg.g, _real_axis_max(resp, touches))
-
-
 def is_stable(cfg: LoopConfig) -> bool:
-    return ray_crossing_excess(cfg) < 1.0
+    lo, hi = stable_gain_interval(cfg.filter)
+    return lo < cfg.g < hi
 
 
 def assert_stable(cfg: LoopConfig) -> None:
-    excess = ray_crossing_excess(cfg)
-    if not excess < 1.0:
+    lo, hi = stable_gain_interval(cfg.filter)
+    if not lo < cfg.g < hi:
         raise InstabilityError(
-            f"feedback loop unstable: open-loop response crosses the real axis "
-            f"at {excess:.6g} >= 1 (g = {cfg.g}, filter = {cfg.filter.kind})"
+            f"feedback loop unstable: g = {cfg.g} is outside the stable interval "
+            f"({lo:.6g}, {hi:.6g}) of the {cfg.filter.kind} filter"
         )
 
 
@@ -401,11 +413,10 @@ def loop_recursion_poles(cfg: LoopConfig, dt: float) -> np.ndarray:
     (np.roots's, bitwise: companion-matrix eigenvalues, a zero per trailing
     zero tap); the recursion is stable iff all lie inside the unit circle.
 
-    This is the exact reference for `assert_discrete_stable`, which
-    simulations use instead: the companion-matrix eigenvalues cost O(m^3)
-    in the tap count m (seconds at a thousand taps), the crossing scan
-    about a millisecond at any m, and the two verdicts agree on the
-    filters, steps and gains the tests sweep.
+    The poles themselves, which the benchmark's loop landscape reads.
+    Verdicts come cheaper: simulations check `stable_gain_interval`, about
+    a millisecond at any tap count m, and the tests' exact verdict is the
+    O(m^2) Schur-Cohn recursion, while the eigenvalues cost O(m^3).
     """
     a = cfg.g * cfg.filter.discretize(dt)
     m = np.flatnonzero(np.concatenate(([1.0], a)))[-1]  # taps up to the last nonzero one
@@ -429,35 +440,17 @@ def discrete_loop_transfer(filt: LoopFilter, dt: float, omega) -> np.ndarray:
     return np.exp(1j * np.multiply.outer(omega, lags)) @ w
 
 
-def discrete_crossing_excess(weights: np.ndarray, g: float) -> float:
-    """Largest real part of g W(exp(-i theta)) at real-axis crossings of the
-    discretized open-loop response, W(z) = sum_j w_j z^{-j}; >= 1 means the
-    loop recursion has poles outside the unit circle.
-
-    Discretization can destabilize a stable continuous loop: the
-    rectangular window over m taps leaks |g|/m at its first phase crossing
-    (a Dirichlet sidelobe), so strong gains need m = tau/dt well above |g|
-    even though the continuous rectangular loop is stable at any g < 1.
-    """
-    w = np.asarray(weights, dtype=float)
-    resp = g * np.fft.rfft(np.concatenate(([0.0], w)), n=CROSSING_GRID_POINTS)
-    # Points exactly on the real axis, among them theta = 0 and the Nyquist
-    # point theta = pi, are crossings that no sign flip of im detects.
-    return _real_axis_max(resp, resp.imag == 0.0)
-
-
 def assert_discrete_stable(filt: LoopFilter, g: float, dt: float) -> np.ndarray:
-    """Discretize `filt` at step dt, check the loop recursion at gain g by
-    `discrete_crossing_excess`, and return the checked weights, which are
-    the ones a simulation at this step runs on."""
+    """Discretize `filt` at step dt, check g against the discretized loop's
+    `stable_gain_interval`, and return the checked weights, which are the
+    ones a simulation at this step runs on."""
     w = filt.discretize(dt)
-    excess = discrete_crossing_excess(w, g)
-    if not excess < 1.0:
+    lo, hi = _gain_interval(filt, w.tobytes())
+    if not lo < g < hi:
         raise InstabilityError(
-            f"discretized loop unstable at dt = {dt:.3g}: open-loop response "
-            f"crosses the real axis at {excess:.3g} >= 1 "
-            f"({filt.kind} filter, {w.size} taps, g = {g}); "
-            "decrease dt or use a smoother filter"
+            f"discretized loop unstable: g = {g} is outside the stable interval "
+            f"({lo:.3g}, {hi:.3g}) of the {filt.kind} filter at dt = {dt:.3g} "
+            f"({w.size} taps); decrease dt or use a smoother filter"
         )
     return w
 

@@ -8,8 +8,10 @@ Choi matrix of a generator's channel from its matrix-unit definition,
 `two_sided_welch` is the two-sided Welch route that `welch_spectrum` is
 checked against, `lfilter_loop` runs the classical loop of
 `simulate_classical_loop` through scipy's sample-by-sample recursive
-filter, `uncached_crossing_excess` is the Nyquist scan of
-`ray_crossing_excess` with the filter response computed at every call,
+filter, `uncached_crossing_excess` is a Nyquist scan of the loop at one
+gain, the per-config route that `stable_gain_interval` replaced and that
+its continuous verdicts are checked against, `schur_cohn_stable` is the
+exact verdict on the discretized loop recursion,
 `least_squares_lorentzian_pair` fits the Lorentzian pair of
 `fit_lorentzian_pair` with scipy's trust-region least squares, and
 `single_pole_hybrid_generator` is the exact generator of the atom jointly
@@ -47,7 +49,7 @@ from inloop.bloch import (
     dissipator,
 )
 from inloop.errors import ParameterError
-from inloop.loop import UNIT_STABILITY_GRID, LoopConfig, LoopFilter, _real_axis_max
+from inloop.loop import UNIT_STABILITY_GRID, LoopConfig, LoopFilter
 
 
 def bloch_tangent(g, s: AtomState) -> np.ndarray:
@@ -302,12 +304,42 @@ def lfilter_loop(cfg: LoopConfig, dt: float, duration: float, seed: int):
     return xi_nu + (current - noise) / np.sqrt(cfg.eps), current
 
 
+def _real_axis_max(resp: np.ndarray, on_axis: np.ndarray) -> float:
+    """Largest real part of a sampled response at the points `on_axis`
+    marks as lying on the real axis and at its crossings between samples,
+    found by linear interpolation at each sign flip of the imaginary part;
+    -inf if there are neither."""
+    re, im = resp.real, resp.imag
+    flips = np.nonzero(im[:-1] * im[1:] < 0.0)[0]
+    frac = im[flips] / (im[flips] - im[flips + 1])
+    cross = re[flips] + frac * (re[flips + 1] - re[flips])
+    return float(np.max(np.concatenate((cross, re[on_axis])), initial=-np.inf))
+
+
 def uncached_crossing_excess(cfg: LoopConfig) -> float:
-    """`inloop.loop.ray_crossing_excess` with h~ on the scan grid evaluated
-    afresh at every call."""
+    """Largest real part of the open-loop response g h~(w) on the scan grid
+    where its locus crosses (or touches) the real axis, with the
+    zero-frequency value g always among them; >= 1 means unstable.  The
+    scan runs on g h~ afresh at every call."""
     resp = cfg.g * cfg.filter.transfer(UNIT_STABILITY_GRID / cfg.filter.tau)
     touches = np.abs(resp.imag) < 1e-14 * np.maximum(np.abs(resp.real), 1.0)
     return max(cfg.g, _real_axis_max(resp, touches))
+
+
+def schur_cohn_stable(a) -> bool:
+    """Whether every root of z^m - a_1 z^{m-1} - ... - a_m lies strictly
+    inside the unit circle, i.e. the recursion y_k = x_k + sum_j a_j y_{k-j}
+    is stable: the Schur-Cohn step-down recursion, stable iff every
+    reflection coefficient has |k_i| < 1 (E. I. Jury, Theory and
+    Application of the z-Transform Method, Wiley 1964).  O(m^2) and exact
+    up to rounding, where the companion-matrix eigenvalues cost O(m^3)."""
+    p = np.concatenate(([1.0], -np.asarray(a, dtype=float)))
+    for i in range(p.size - 1, 0, -1):
+        k = p[i]  # p[0] = 1 at every order
+        if not abs(k) < 1.0:
+            return False
+        p = (p[:i] - k * p[i:0:-1]) / (1.0 - k * k)
+    return True
 
 
 def least_squares_lorentzian_pair(spectrum) -> dict:

@@ -19,7 +19,6 @@ from inloop.loop import (
     assert_discrete_stable,
     assert_stable,
     band_average,
-    discrete_crossing_excess,
     discrete_loop_transfer,
     gain_from_lambda,
     homodyne_spectrum,
@@ -28,13 +27,13 @@ from inloop.loop import (
     lambda_from_gain,
     loop_recursion_poles,
     optimal_gain,
-    ray_crossing_excess,
     simulate_classical_loop,
     squeezing_from_lambda,
+    stable_gain_interval,
     welch_spectrum,
 )
 from inloop.squeezed_bath import free_rates, photon_parameters
-from oracles import lfilter_loop, two_sided_welch, uncached_crossing_excess
+from oracles import lfilter_loop, schur_cohn_stable, two_sided_welch, uncached_crossing_excess
 
 RECT = LoopFilter.rectangular(1.0)
 EXP7 = LoopFilter.from_samples(1.0, np.exp(-np.linspace(0.0, 1.0, 7) / 0.25))
@@ -189,13 +188,12 @@ def test_only_the_exponential_filter_takes_a_time_constant():
 
 
 def test_stability_asserts_fail_on_nan_excess(monkeypatch):
-    # is_stable says False on a NaN excess, so assert_stable must raise
-    monkeypatch.setattr(loop, "ray_crossing_excess", lambda cfg: np.nan)
+    # a NaN interval edge reads as unstable, so every check must raise
+    monkeypatch.setattr(loop, "_gain_interval", lambda filt, weights: (np.nan, np.nan))
     assert not is_stable(fig2_loop())
-    with pytest.raises(InstabilityError, match="at nan >= 1"):
+    with pytest.raises(InstabilityError, match=re.escape("stable interval (nan, nan)")):
         assert_stable(fig2_loop())
-    monkeypatch.setattr(loop, "discrete_crossing_excess", lambda w, g: np.nan)
-    with pytest.raises(InstabilityError, match="at nan >= 1"):
+    with pytest.raises(InstabilityError, match=re.escape("stable interval (nan, nan)")):
         assert_discrete_stable(RECT, -19.0, 0.02)
 
 
@@ -227,18 +225,21 @@ def _same_bits(a, b) -> bool:
 
 @pytest.mark.parametrize("filt", SWEEP_FILTERS, ids=lambda f: f.kind)
 def test_cached_crossing_excess_is_bitwise_the_uncached_scan(filt):
+    # verdicts from the cached interval are the per-gain scan's, and the
+    # spectra read from the response cache are bitwise the uncached ones
     loop._grid_response.cache_clear()
-    ray_crossing_excess.cache_clear()
+    loop._gain_interval.cache_clear()
     responses = [filt.transfer(w) for w in SPECTRUM_GRIDS]
     gains = np.random.default_rng(1501).uniform(-40.0, 0.99, 300)
+    lo, hi = stable_gain_interval(filt)
     stable = 0
     for g in gains:
         cfg = LoopConfig(g=float(g), eps=0.9, eta=0.8, filter=filt)
         ref = uncached_crossing_excess(cfg)
-        assert ray_crossing_excess(cfg) == ref
         assert is_stable(cfg) == (ref < 1.0)
         if ref >= 1.0:
-            expected = f"at {ref:.6g} >= 1 (g = {cfg.g}, filter = {filt.kind})"
+            expected = (f"g = {cfg.g} is outside the stable interval ({lo:.6g}, {hi:.6g}) "
+                        f"of the {filt.kind} filter")
             with pytest.raises(InstabilityError, match=re.escape(expected)):
                 assert_stable(cfg)
             continue
@@ -256,23 +257,41 @@ def test_cached_crossing_excess_is_bitwise_the_uncached_scan(filt):
                 assert _same_bits(in_loop_spectrum(cfg, w), s_in)
                 assert _same_bits(homodyne_spectrum(cfg, w), s_hom)
     assert stable > 0
-    # one crossing scan per config, however many checks read it
-    assert ray_crossing_excess.cache_info().misses == gains.size
-    # entries for the scan grid, 0.0, the list and the 2,001-point grid;
-    # none for 5,000 points
+    # one scan for the filter, however many configs and checks read it
+    assert loop._gain_interval.cache_info().misses == 1
+    # entries for 0.0, the list and the 2,001-point grid; none for 5,000
+    # points.  Per stable gain, two spectra on four cached grids, again on
+    # the three arrays
     info = loop._grid_response.cache_info()
-    assert (info.misses, info.currsize) == (4, 4)
-    # every crossing scan after the first reads the scan grid's entry; per
-    # stable gain, two spectra on four cached grids, again on the three arrays
-    assert info.hits == (gains.size - 1) + (2 * 4 + 2 * 3) * stable - 3
+    assert (info.misses, info.currsize) == (3, 3)
+    assert info.hits == (2 * 4 + 2 * 3) * stable - 3
 
 
-def stability_response(filt):
-    return loop._grid_response(filt)
+def test_gain_sweep_computes_one_interval_per_filter_and_step():
+    # every check of a sweep over g, eps and eta at one filter and step
+    # reads one continuous and one discretized interval, which equal
+    # filters share
+    loop._gain_interval.cache_clear()
+    checks = 0
+    for g in np.linspace(-12.0, 0.9, 7):
+        for eps in (0.3, 0.95):
+            for eta in (0.5, 1.0):
+                filt = LoopFilter.exponential(1.0, 0.25)  # a fresh, equal filter each time
+                cfg = LoopConfig(g=float(g), eps=eps, eta=eta, filter=filt)
+                assert is_stable(cfg)
+                in_loop_spectrum(cfg, [0.0, 1.0])
+                assert_discrete_stable(filt, cfg.g, 0.025)
+                checks += 3
+    info = loop._gain_interval.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, checks - 2, 2)
 
 
-def test_cached_stability_response_is_read_only():
-    resp = stability_response(RECT)
+def spectrum_response(filt):
+    return loop._spectrum_response(filt, SPECTRUM_GRIDS[2])
+
+
+def test_cached_spectrum_response_is_read_only():
+    resp = spectrum_response(RECT)
     assert not resp.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         resp[0] = 0.0
@@ -280,20 +299,22 @@ def test_cached_stability_response_is_read_only():
 
 def test_equal_filters_share_one_stability_response():
     loop._grid_response.cache_clear()
+    loop._gain_interval.cache_clear()
     first_filter = LoopFilter.exponential(0.8, 0.2)
-    first = stability_response(first_filter)
-    second = stability_response(LoopFilter.exponential(0.8, 0.2))
+    first = spectrum_response(first_filter)
+    second = spectrum_response(LoopFilter.exponential(0.8, 0.2))
     assert second is first
     assert loop._grid_response.cache_info()[:2] == (1, 1)  # (hits, misses)
     # same tau, different samples: two entries
-    a = stability_response(LoopFilter.from_samples(0.8, [1.0, 2.0, 1.0]))
-    b = stability_response(LoopFilter.from_samples(0.8, [1.0, 0.5, 1.0]))
+    a = spectrum_response(LoopFilter.from_samples(0.8, [1.0, 2.0, 1.0]))
+    b = spectrum_response(LoopFilter.from_samples(0.8, [1.0, 0.5, 1.0]))
     assert loop._grid_response.cache_info()[:2] == (1, 3)
     assert not np.array_equal(a, b)
-    # the crossing scan reads the same entry
-    ray_crossing_excess.cache_clear()
-    ray_crossing_excess(LoopConfig(g=-2.0, eps=0.9, eta=0.8, filter=first_filter))
-    assert loop._grid_response.cache_info()[:2] == (2, 3)
+    # the stability checks share one interval per filter and per step
+    for dt in (None, 0.02):
+        assert stable_gain_interval(first_filter, dt) is stable_gain_interval(
+            LoopFilter.exponential(0.8, 0.2), dt)
+    assert loop._gain_interval.cache_info()[:2] == (2, 2)
 
 
 @pytest.mark.parametrize("samples", [[0.0, 3.0, 1, 2.0], np.array([0.0, 3.0, 1.0, 2.0])],
@@ -303,9 +324,11 @@ def test_sampled_filter_built_directly_hashes_like_from_samples(samples):
     ref = LoopFilter.from_samples(0.5, [0.0, 3.0, 1.0, 2.0])
     assert filt == ref and hash(filt) == hash(ref)
     assert type(filt.samples) is tuple and all(type(v) is float for v in filt.samples)
-    assert ray_crossing_excess(LoopConfig(g=-2.0, eps=0.9, eta=0.8, filter=filt)) == (
-        uncached_crossing_excess(LoopConfig(g=-2.0, eps=0.9, eta=0.8, filter=ref))
-    )
+    assert stable_gain_interval(filt) is stable_gain_interval(ref)
+    for g in (-2.0, -40.0):
+        assert is_stable(LoopConfig(g=g, eps=0.9, eta=0.8, filter=filt)) == (
+            uncached_crossing_excess(LoopConfig(g=g, eps=0.9, eta=0.8, filter=ref)) < 1.0
+        )
 
 
 # -- analytic spectra --------------------------------------------------------
@@ -438,7 +461,8 @@ def test_strong_negative_gain_rectangular_is_stable():
     # response's real-axis crossings sit at the sinc zeros, so it is stable
     cfg = fig2_loop()
     assert is_stable(cfg)
-    assert ray_crossing_excess(cfg) < 1.0
+    assert uncached_crossing_excess(cfg) < 1.0
+    assert stable_gain_interval(RECT) == (-np.inf, 1.0)
 
 
 def test_positive_gain_above_unity_unstable():
@@ -461,9 +485,10 @@ def test_single_pole_stable_for_any_negative_gain():
 def test_discrete_crossing_matches_dirichlet_sidelobe():
     # m equal taps leak |g|/m at the first phase crossing
     for m in (10, 25, 80):
-        w = np.full(m, 1.0 / m)
-        excess = discrete_crossing_excess(w, -19.0)
+        lo, hi = stable_gain_interval(RECT, 1.0 / m)
+        excess = -19.0 / lo
         assert abs(excess - 19.0 / m) < 0.6 / m
+        assert hi == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(InstabilityError):
         assert_discrete_stable(LoopFilter.rectangular(1e-3), -19.0, 1e-4)
     assert_discrete_stable(LoopFilter.rectangular(1e-3), -19.0, 2.5e-5)
@@ -474,17 +499,15 @@ def test_discrete_crossing_counts_nyquist_point():
     # theta = pi, where im is exactly zero and no sign flip is seen
     s = np.linspace(0.0, 1e-3, 7)
     filt = LoopFilter.from_samples(1e-3, np.exp(-s / 2.5e-4))
-    excess = discrete_crossing_excess(filt.discretize(1e-4), -19.0)
+    excess = -19.0 / stable_gain_interval(filt, 1e-4)[0]
     assert abs(excess - 3.92) < 0.01
-    poles = loop_recursion_poles(LoopConfig(g=-19.0, eps=0.95, eta=0.8, filter=filt), 1e-4)
-    assert np.max(np.abs(poles)) >= 1.0
+    assert not schur_cohn_stable(-19.0 * filt.discretize(1e-4))
     with pytest.raises(InstabilityError):
         assert_discrete_stable(filt, -19.0, 1e-4)
     # the benchmark's single-pole loop stays stable, with both verdicts agreeing
     sp = LoopFilter.single_pole(1e-3)
-    assert abs(discrete_crossing_excess(sp.discretize(1e-4), -19.0) - 0.949) < 1e-3
-    cfg = LoopConfig(g=-19.0, eps=0.95, eta=0.8, filter=sp)
-    assert np.max(np.abs(loop_recursion_poles(cfg, 1e-4))) < 1.0
+    assert abs(-19.0 / stable_gain_interval(sp, 1e-4)[0] - 0.949) < 1e-3
+    assert schur_cohn_stable(-19.0 * sp.discretize(1e-4))
     assert_discrete_stable(sp, -19.0, 1e-4)
 
 
@@ -516,9 +539,25 @@ def test_recursion_poles_are_np_roots_bitwise(filt, dt):
     assert np.array_equal(np.flatnonzero(poles == 0.0), np.arange(w.size - trailing, w.size))
 
 
+def test_schur_cohn_matches_np_roots_on_small_filters():
+    # the exact discrete oracle against the companion-matrix roots, on
+    # random recursions of 1 to 12 taps on both sides of the unit circle
+    rng = np.random.default_rng(27)
+    verdicts = []
+    for m in range(1, 13):
+        for _ in range(50):
+            a = rng.normal(size=m) * rng.uniform(0.05, 1.5) / np.sqrt(m)
+            a[rng.random(m) < 0.2] = 0.0
+            exact = np.max(np.abs(np.roots(np.concatenate(([1.0], -a)))), initial=0.0) < 1.0
+            assert schur_cohn_stable(a) == exact, a
+            verdicts.append(exact)
+    assert 0.2 < np.mean(verdicts) < 0.8
+
+
 def test_discrete_crossing_agrees_with_recursion_poles():
-    # the crossing scan simulations use against the exact recursion poles,
-    # over flat, truncated-exponential, single-pole and sampled filters
+    # the interval simulations check against the exact Schur-Cohn verdict,
+    # over flat, truncated-exponential, single-pole and sampled filters, and
+    # the 1,151-tap single pole that companion-matrix eigenvalues cannot afford
     s = np.linspace(0.0, 1e-3, 7)
     filters = [
         LoopFilter.rectangular(1e-2),
@@ -526,24 +565,63 @@ def test_discrete_crossing_agrees_with_recursion_poles():
         LoopFilter.single_pole(1e-3),
         LoopFilter.from_samples(1e-3, np.exp(-s / 2.5e-4)),
     ]
+    cases = [(f, f.tau / steps) for f in filters for steps in (10, 20, 40)]
+    cases.append((LoopFilter.single_pole(1.0), 0.02))
+    assert cases[-1][0].discretize(0.02).size == 1151
     verdicts = []
-    for filt in filters:
-        for steps in (10, 20, 40):
-            dt = filt.tau / steps
-            if filt.discretize(dt).size > 250:
-                continue
-            for g in np.linspace(-60.0, 0.95, 25):
-                cfg = LoopConfig(g=g, eps=0.9, eta=0.8, filter=filt)
-                unstable = np.max(np.abs(loop_recursion_poles(cfg, dt))) >= 1.0
-                try:
-                    assert_discrete_stable(filt, g, dt)
-                    rejected = False
-                except InstabilityError:
-                    rejected = True
-                assert rejected == unstable, (filt.kind, steps, g)
-                verdicts.append(unstable)
-    assert len(verdicts) == 250
+    for filt, dt in cases:
+        w = filt.discretize(dt)
+        for g in np.linspace(-60.0, 0.95, 25):
+            unstable = not schur_cohn_stable(g * w)
+            try:
+                assert_discrete_stable(filt, g, dt)
+                rejected = False
+            except InstabilityError:
+                rejected = True
+            assert rejected == unstable, (filt.kind, dt, g)
+            verdicts.append(unstable)
+    assert len(verdicts) == 325
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+EDGE_FILTERS = {
+    "rectangular": RECT,
+    "exponential": LoopFilter.exponential(1.0),
+    "single-pole": LoopFilter.single_pole(0.1),
+    "exp7": EXP7,
+    "delay64": DELAY64,
+    "zero-tail": ZERO_TAIL,
+}
+
+
+@pytest.mark.parametrize("steps", [None, 10, 20, 40], ids=lambda n: f"tau/{n}" if n else "continuous")
+@pytest.mark.parametrize("name", EDGE_FILTERS)
+def test_interval_edges_match_the_oracles(name, steps):
+    # a gain 1e-5 inside each finite edge is stable and one 1e-5 outside is
+    # not, by the per-gain scan for the continuous loop and by Schur-Cohn
+    # for the discretized one.  The FFT scan's discrete edge sits up to a
+    # few 1e-6 (relative) beyond the exact one, so a margin of 1e-6 is too
+    # tight for sampled filters.
+    filt = EDGE_FILTERS[name]
+    dt = None if steps is None else filt.tau / steps
+    lo, hi = stable_gain_interval(filt, dt)
+    assert lo < 0.0 and hi == pytest.approx(1.0, abs=1e-15)
+    for edge in (lo, hi):
+        if not np.isfinite(edge):
+            continue
+        for g, stable in ((edge * (1.0 - 1e-5), True), (edge * (1.0 + 1e-5), False)):
+            cfg = LoopConfig(g=g, eps=0.9, eta=0.8, filter=filt)
+            if dt is None:
+                assert is_stable(cfg) == stable == (uncached_crossing_excess(cfg) < 1.0), g
+            else:
+                assert schur_cohn_stable(g * filt.discretize(dt)) == stable, g
+                if stable:
+                    assert_discrete_stable(filt, g, dt)
+                    continue
+                expected = (f"g = {g} is outside the stable interval ({lo:.3g}, {hi:.3g}) "
+                            f"of the {filt.kind} filter at dt = {dt:.3g}")
+                with pytest.raises(InstabilityError, match=re.escape(expected)):
+                    assert_discrete_stable(filt, g, dt)
 
 
 # -- Monte Carlo loop --------------------------------------------------------
