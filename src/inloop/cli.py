@@ -253,8 +253,8 @@ def cmd_trajectories(args) -> int:
         seed=run["seed"],
         initial_state=AtomState(run["x0"], run["y0"], run["z0"]),
         record_stride=run.get("record_stride"),
-        record_current=run["record_current"],
         phi_guard=run["phi_guard"],
+        current_nperseg=run.get("nperseg", 0) if run["record_current"] else None,
     )
     result = run_ensemble(cfg)
     # Every table is computed before the first file is written.
@@ -269,8 +269,8 @@ def cmd_trajectories(args) -> int:
             "se_z": result.stderr[:, 2],
         }
     }
-    if cfg.record_current:
-        omega, psd = ensemble_current_psd(result, nperseg=run.get("nperseg"))
+    if cfg.current_nperseg is not None:
+        omega, psd = ensemble_current_psd(result)
         tables["current_psd.csv"] = {"omega": omega, "value": psd}
     outdir = _outdir(args)
     for name, table in tables.items():

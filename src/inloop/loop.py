@@ -280,7 +280,20 @@ def _gain_interval(filt: LoopFilter, weights: bytes | None) -> tuple[float, floa
     re, im = resp.real, resp.imag
     flips = np.nonzero(im[:-1] * im[1:] < 0.0)[0]
     frac = im[flips] / (im[flips] - im[flips + 1])
-    v = np.concatenate((re[flips] + frac * (re[flips + 1] - re[flips]), re[on_axis]))
+    v = re[flips] + frac * (re[flips + 1] - re[flips])
+    if weights is not None and v.size:  # Newton steps on Im W at crossings that may set an edge
+        w, d = np.frombuffer(weights), 2.0 * np.pi / CROSSING_GRID_POINTS  # angle step
+        j = np.arange(1.0, w.size + 1.0)
+        near = (v - v.min() <= 1e-3 * abs(v.min())) | (v.max() - v <= 1e-3 * abs(v.max()))
+        for i in np.array_split(np.flatnonzero(near), -(-near.sum() * w.size // (1 << 18))):
+            left, x = flips[i] * d, (flips[i] + frac[i]) * d
+            for _ in range(4):  # Im W = -sum_j w_j sin(j x) has the slope -sum_j j w_j cos(j x)
+                e = np.exp(-1j * np.multiply.outer(x, j))
+                f, slope = (e @ w).imag, (e @ (j * w)).real
+                x = np.clip(x + np.divide(f, slope, out=np.zeros_like(x), where=slope != 0.0),
+                            left, left + d)
+            v[i] = (np.exp(-1j * np.multiply.outer(x, j)) @ w).real
+    v = np.concatenate((v, re[on_axis]))
     lo, hi = float(v.min()), float(v.max())
     return (1.0 / lo if lo < 0.0 else -np.inf), 1.0 / hi
 
@@ -296,7 +309,9 @@ def stable_gain_interval(filt: LoopFilter, dt: float | None = None) -> tuple[flo
     them, or off W(exp(-i theta)) = sum_j w_j exp(-i j theta) at
     CROSSING_GRID_POINTS // 2 + 1 angles in [0, pi]: at the points on the
     real axis, and between samples by linear interpolation at each sign
-    flip of the imaginary part.
+    flip of the imaginary part.  For the discretized loop the crossings
+    that may set an edge are then solved on the taps' exact sum (Newton
+    steps), so its edges are exact to rounding.
 
     Discretization can shrink the interval: the rectangular window over m
     taps leaks -1/m at its first phase crossing (a Dirichlet sidelobe), so
@@ -541,45 +556,64 @@ def welch_spectrum(
     `samples` is one record or a (rows, N) array of records.  Each record is
     cut into segments x_k of nperseg samples starting every
     nperseg - nperseg // 2 samples (a shorter tail is dropped), windowed by
-    the periodic Hann w_k = 0.5 + 0.5 cos(2 pi k / nperseg - pi) and
-    transformed, X_j = sum_k w_k x_k exp(-2 pi i j k / nperseg).  The
+    the periodic Hann `welch_window` w_k and transformed,
+    X_j = sum_k w_k x_k exp(-2 pi i j k / nperseg).  The
     estimate at w_j = 2 pi j / (nperseg dt), on the bins
     j = 1 .. (nperseg + 1) // 2 - 1 strictly between zero and Nyquist, is
     |X_j|^2 dt / sum_k w_k^2 averaged over every segment of every row
     (Welch, IEEE Trans. Audio Electroacoust. 15, 70 (1967)).
 
-    The default segment length is the largest power of two giving at least
-    `min_segments` segments per record.  A given segment length must be an
-    integer.  It is clamped to the record length and must then be at least
-    MIN_NPERSEG = 3, the shortest that leaves a bin between zero and
-    Nyquist, so a shorter segment or record raises ParameterError, as does
-    a dt that is not positive and finite.  Segments are a strided view,
-    windowed and transformed WELCH_BLOCK samples (at least one segment) per
-    call, so memory stays within a few times 8 max(WELCH_BLOCK, nperseg)
-    bytes at any number of rows.  No detrending: the records analyzed here
-    are zero mean by construction, and per-segment mean removal would notch
-    the lowest frequency bins.
+    The window sets nperseg; a dt that is not positive and finite raises
+    ParameterError.  Segments are a strided view, windowed and transformed
+    by `segment_power` WELCH_BLOCK samples (at least one segment) per call,
+    so memory stays within a few times 8 max(WELCH_BLOCK, nperseg) bytes at
+    any number of rows; the trajectory engine feeds it one segment at a
+    time as it steps.  No detrending: the records analyzed here are zero
+    mean by construction, and per-segment mean removal would notch the
+    lowest frequency bins.
     """
     positive("time step dt", dt)
     count("min_segments", min_segments)
     x = np.atleast_2d(np.asarray(samples, dtype=float))
-    if nperseg is None:
-        target = max(2 * x.shape[-1] // (min_segments + 1), 64)
-        nperseg = 1 << int(np.log2(target))
-    nperseg = check_nperseg(min(check_nperseg(nperseg), x.shape[-1]))  # also once clamped
+    window = welch_window(x.shape[-1], nperseg, min_segments)
+    nperseg = window.size
     segs = np.lib.stride_tricks.sliding_window_view(x, nperseg, -1)[:, :: nperseg - nperseg // 2]
     rows, n_seg = segs.shape[:2]
     per_call = max(WELCH_BLOCK // nperseg, 1)
     rows_per_call = max(per_call // n_seg, 1)
-    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
-    keep = slice(1, (nperseg + 1) // 2)
-    acc = np.zeros(keep.stop - keep.start)
+    acc = np.zeros((nperseg + 1) // 2 - 1)
     for r in range(0, rows, rows_per_call):
         for s in range(0, n_seg, per_call):
-            spec = np.fft.rfft(segs[r : r + rows_per_call, s : s + per_call] * window)[..., keep]
-            acc += (spec.real**2 + spec.imag**2).sum(axis=(0, 1))
-    omega = 2.0 * np.pi * np.fft.rfftfreq(nperseg, dt)[keep]
-    return omega, acc * (dt / (rows * n_seg * (window @ window)))
+            block = segs[r : r + rows_per_call, s : s + per_call]
+            acc += segment_power(block, window).sum(axis=(0, 1))
+    return welch_density(acc, window, dt, rows * n_seg)
+
+
+def welch_window(n_samples: int, nperseg: int | None, min_segments: int) -> np.ndarray:
+    """The periodic Hann window w_k = 0.5 + 0.5 cos(2 pi k / nperseg - pi)
+    of the Welch segments of records of n_samples.  Its length nperseg is by
+    default the largest power of two (64 at least) giving at least
+    `min_segments` segments per record.  A given length must be an integer.
+    It is clamped to the record length and must then be at least
+    MIN_NPERSEG = 3, the shortest that leaves a bin between zero and
+    Nyquist, so a shorter segment or record raises ParameterError."""
+    if nperseg is None:
+        target = max(2 * n_samples // (min_segments + 1), 64)
+        nperseg = 1 << int(np.log2(target))
+    nperseg = check_nperseg(min(check_nperseg(nperseg), n_samples))  # also once clamped
+    return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
+
+
+def segment_power(segs: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """|X_j|^2 of `welch_spectrum` for each segment (last axis)."""
+    spec = np.fft.rfft(segs * window)[..., 1 : (window.size + 1) // 2]
+    return spec.real**2 + spec.imag**2
+
+
+def welch_density(power: np.ndarray, window: np.ndarray, dt: float, segments: int):
+    """`welch_spectrum` from `segment_power` summed over `segments` segments."""
+    omega = 2.0 * np.pi * np.fft.rfftfreq(window.size, dt)[1 : (window.size + 1) // 2]
+    return omega, power * (dt / (segments * (window @ window)))
 
 
 def check_nperseg(nperseg: int) -> int:

@@ -91,6 +91,14 @@ and for narrow ensembles, is also taken without os.sched_getaffinity and
 while other threads run (fork copies only the calling thread).  The
 workers' memory shows under resource.RUSAGE_CHILDREN once they are
 reaped, not under RUSAGE_SELF.
+
+A streamed current spectrum (`TrajectoryConfig.current_nperseg`) is summed
+as the run steps: each slice copies its current into a window of nperseg
+steps per trajectory and adds each completed segment's `segment_power`
+(WELCH_BLOCK samples of rows at a time) to per-row sums, added in index
+order at the end.  That is about 12 n nperseg bytes at any duration (the
+raw record: 8 n n_steps), bitwise the same for any slicing, and
+`welch_spectrum` of the raw record to rounding.
 """
 
 from __future__ import annotations
@@ -107,7 +115,8 @@ import numpy as np
 
 from .bloch import AtomState
 from .errors import InstabilityError, ParameterError, count, positive
-from .loop import LoopConfig, assert_discrete_stable, assert_stable, welch_spectrum
+from .loop import (MIN_NPERSEG, WELCH_BLOCK, LoopConfig, assert_discrete_stable, assert_stable,
+                   check_nperseg, segment_power, welch_density, welch_spectrum, welch_window)
 
 # Steps of shot noise drawn per block.  The noise buffer holds NOISE_BLOCK
 # steps of a slice (8 * n * NOISE_BLOCK bytes), whatever the run length.
@@ -129,7 +138,9 @@ class TrajectoryConfig:
     filter) and the atomic dynamics (dt <= 1e-2, lifetimes = 1).
     `record_stride` subsamples the stored trajectory records (default ~
     every 0.01 lifetimes); `phi_guard` (positive and finite) aborts on
-    runaway feedback drive.
+    runaway feedback drive.  `current_nperseg` streams the current's Welch
+    spectrum into `EnsembleResult.current_psd` in segments of that many
+    steps (clamped to the run; 0: `ensemble_current_psd`'s default length).
     """
 
     loop: LoopConfig
@@ -142,6 +153,7 @@ class TrajectoryConfig:
     record_current: bool = False
     record_drive: bool = False
     phi_guard: float = 1e3
+    current_nperseg: int | None = None
 
     def validate(self) -> "TrajectoryConfig":
         positive("dt and duration", self.dt, self.duration)
@@ -152,6 +164,9 @@ class TrajectoryConfig:
         count("seed", self.seed, zero=True)
         count("record_stride", 1 if self.record_stride is None else self.record_stride)
         positive("phi_guard", self.phi_guard)
+        if self.current_nperseg is not None:  # 0 takes the default length
+            count("current_nperseg", self.current_nperseg, zero=True)
+            check_nperseg(self.current_nperseg or MIN_NPERSEG)
         self.initial_state.validate()
         return self
 
@@ -164,8 +179,8 @@ class TrajectoryConfig:
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
     """Ensemble means with standard errors at the recorded times, plus the
-    per-trajectory records that fit errors need and raw current and drive
-    records (optional)."""
+    per-trajectory records that fit errors need, and optionally raw current
+    and drive records and the current's streamed (omega, psd)."""
 
     times: np.ndarray
     mean: np.ndarray
@@ -175,6 +190,7 @@ class EnsembleResult:
     records: np.ndarray
     currents: np.ndarray | None = None
     drives: np.ndarray | None = None
+    current_psd: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _filter_mode(weights: np.ndarray) -> tuple[str, float]:
@@ -197,6 +213,7 @@ class _Plan:
     weights: np.ndarray
     filter_mode: str
     ratio: float
+    window: np.ndarray | None  # of the streamed current spectrum
 
 
 def _raise_first_failure(cfg: TrajectoryConfig, failures) -> None:
@@ -215,9 +232,10 @@ def _raise_first_failure(cfg: TrajectoryConfig, failures) -> None:
     )
 
 
-def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int, empty=np.empty):
+def _run_slice(plan: _Plan, records, currents, drives, lo, hi, empty=np.empty, power=None):
     """Step trajectories [lo, hi) in lockstep, writing their rows of the
-    output arrays.  Returns None, or the first guard trip as (step, peak)
+    output arrays, and of `power`, the per-row sums of the current's
+    `segment_power`.  Returns None, or the first guard trip as (step, peak)
     where the rows are left partly written.  The completely positive linear
     Kraus map steps each unnormalized (tr, X, Y, Z), divided by tr, with
     y = Y a^k / tr, only at record steps and block ends; the guard reads
@@ -229,6 +247,22 @@ def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int, empty=n
     records = records[lo:hi]
     cur_t = currents[lo:hi].T if currents is not None else None
     drives = drives[lo:hi] if drives is not None else None
+    if power is not None:  # seg[:, :fill]: each row's current in its open segment
+        power, window, nps, fill = power[lo:hi], plan.window, plan.window.size, 0
+        hop, group, seg = nps - nps // 2, max(WELCH_BLOCK // nps, 1), empty((n, nps))
+        power.fill(0.0)
+
+    def feed(rows):  # the current of the steps after seg's, step-major like the ring
+        nonlocal fill
+        while len(rows):
+            take = min(nps - fill, len(rows))
+            seg[:, fill : fill + take] = rows[:take].T
+            fill, rows = fill + take, rows[take:]
+            if fill == nps:  # transform the complete segment, keep the next one's head
+                for r in range(0, n, group):  # shifted by groups: no copy of the whole window
+                    power[r : r + group] += segment_power(seg[r : r + group], window)
+                    seg[r : r + group, : nps - hop] = seg[r : r + group, hop:]
+                fill = nps - hop
 
     g = cfg.loop.g
     eta, eps = cfg.loop.eta, cfg.loop.eps
@@ -316,6 +350,8 @@ def _run_slice(plan: _Plan, records, currents, drives, lo: int, hi: int, empty=n
                     f_sum += lagged
                 if cur_t is not None and (j == m - 1 or k + 1 == n_steps):
                     cur_t[k - j : k + 1] = ring[: j + 1]
+                if power is not None and (j == m - 1 or k + 1 == n_steps):
+                    feed(ring[: j + 1])
 
                 # Linear Kraus step, s = tr + Z (see the module docstring).
                 add(tr, z, s)
@@ -429,7 +465,9 @@ def _plan(cfg: TrajectoryConfig) -> _Plan:
         raise ParameterError("duration shorter than one step")
     rec_steps = [*range(0, n_steps, cfg.stride()), n_steps]  # every stride-th, and the last
     weights = assert_discrete_stable(cfg.loop.filter, cfg.loop.g, cfg.dt)
-    return _Plan(cfg, n_steps, rec_steps, weights, *_filter_mode(weights))
+    nps = cfg.current_nperseg
+    window = None if nps is None else welch_window(n_steps, nps or None, min_segments=4)
+    return _Plan(cfg, n_steps, rec_steps, weights, *_filter_mode(weights), window)
 
 
 def _run_cuts(plan: _Plan, cuts: list[int], forked: bool) -> EnsembleResult:
@@ -442,7 +480,10 @@ def _run_cuts(plan: _Plan, cuts: list[int], forked: bool) -> EnsembleResult:
     records = empty((n, len(plan.rec_steps), 3))
     currents = empty((n, plan.n_steps)) if cfg.record_current else None
     drives = empty((n, plan.n_steps)) if cfg.record_drive else None
-    run_slice = functools.partial(_run_slice, plan, records, currents, drives, empty=empty)
+    nps = 0 if plan.window is None else plan.window.size
+    power = empty((n, (nps + 1) // 2 - 1)) if nps else None
+    run_slice = functools.partial(_run_slice, plan, records, currents, drives, empty=empty,
+                                  power=power)
     if forked:
         failures = _run_forked(run_slice, cuts)
     else:
@@ -455,6 +496,9 @@ def _run_cuts(plan: _Plan, cuts: list[int], forked: bool) -> EnsembleResult:
         dev = row - mean
         sq_dev += dev * dev
     stderr = np.sqrt(sq_dev / (n - 1) / n) if n > 1 else np.full_like(mean, np.nan)
+    if nps:  # the rows' sums added in index order, averaged over every row's segments
+        segments = n * ((plan.n_steps - nps) // (nps - nps // 2) + 1)
+        current_psd = welch_density(power.sum(axis=0), plan.window, cfg.dt, segments)
     return EnsembleResult(
         times=np.array(plan.rec_steps) * cfg.dt,
         mean=mean,
@@ -464,6 +508,7 @@ def _run_cuts(plan: _Plan, cuts: list[int], forked: bool) -> EnsembleResult:
         records=records,
         currents=currents,
         drives=drives,
+        current_psd=current_psd if nps else None,
     )
 
 
@@ -528,9 +573,14 @@ def fit_decay_rate(
 def ensemble_current_psd(
     result: EnsembleResult, nperseg: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Welch spectrum of the recorded current: `welch_spectrum` of the
+    """Welch spectrum of the current: `welch_spectrum` of the
     (n_traj, n_steps) current array, averaged over every segment of every
-    trajectory, with at least 4 segments per trajectory by default."""
+    trajectory, with at least 4 segments per trajectory by default.  Without
+    nperseg, a run that streamed it (`TrajectoryConfig.current_nperseg`)
+    returns that estimate."""
+    if nperseg is None and result.current_psd is not None:
+        return result.current_psd
     if result.currents is None:
-        raise ParameterError("run with record_current=True to estimate the current PSD")
+        raise ParameterError("run with record_current=True or current_nperseg to estimate "
+                             "the current PSD")
     return welch_spectrum(result.currents, result.config.dt, nperseg=nperseg, min_segments=4)

@@ -325,6 +325,18 @@ def test_trajectories_unstable_config_no_partial_output(tmp_path):
     assert not (out / "means.csv").exists()
 
 
+def test_current_segment_clamped_below_three_steps_is_domain_error_without_output(tmp_path):
+    # two steps clamp the default segment to 2: the run is refused before it steps
+    config = TRAJ_CONFIG.replace("duration = 0.2", "duration = 2e-4") + "record_current = true\n"
+    (tmp_path / "run.cfg").write_text(config)
+    out = tmp_path / "out"
+    r = run_cli("trajectories", "--config", "run.cfg", "--seed", "9", "--outdir", str(out),
+                cwd=tmp_path)
+    assert r.returncode == 4
+    assert "parameter error: nperseg must be at least 3, got 2" in r.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("nperseg", [0, -8, 2])
 @pytest.mark.parametrize(
     "command, config",

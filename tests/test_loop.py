@@ -597,19 +597,21 @@ EDGE_FILTERS = {
 @pytest.mark.parametrize("steps", [None, 10, 20, 40], ids=lambda n: f"tau/{n}" if n else "continuous")
 @pytest.mark.parametrize("name", EDGE_FILTERS)
 def test_interval_edges_match_the_oracles(name, steps):
-    # a gain 1e-5 inside each finite edge is stable and one 1e-5 outside is
-    # not, by the per-gain scan for the continuous loop and by Schur-Cohn
-    # for the discretized one.  The FFT scan's discrete edge sits up to a
-    # few 1e-6 (relative) beyond the exact one, so a margin of 1e-6 is too
-    # tight for sampled filters.
+    # a gain just inside each finite edge is stable and one just outside is
+    # not, by the per-gain scan for the continuous loop (margin 1e-5, the
+    # scan grid's resolution) and by Schur-Cohn for the discretized one
+    # (margin 1e-8: its edge-setting crossings are solved on the taps'
+    # exact sum, where the FFT grid's linear interpolation alone put the
+    # edge up to a few 1e-6 beyond the exact one)
     filt = EDGE_FILTERS[name]
     dt = None if steps is None else filt.tau / steps
+    margin = 1e-5 if dt is None else 1e-8
     lo, hi = stable_gain_interval(filt, dt)
     assert lo < 0.0 and hi == pytest.approx(1.0, abs=1e-15)
     for edge in (lo, hi):
         if not np.isfinite(edge):
             continue
-        for g, stable in ((edge * (1.0 - 1e-5), True), (edge * (1.0 + 1e-5), False)):
+        for g, stable in ((edge * (1.0 - margin), True), (edge * (1.0 + margin), False)):
             cfg = LoopConfig(g=g, eps=0.9, eta=0.8, filter=filt)
             if dt is None:
                 assert is_stable(cfg) == stable == (uncached_crossing_excess(cfg) < 1.0), g

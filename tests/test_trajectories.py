@@ -9,6 +9,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +28,7 @@ from inloop.loop import (
     discrete_loop_transfer,
     loop_recursion_poles,
     simulate_classical_loop,
+    welch_spectrum,
 )
 from inloop.trajectories import (
     MIN_SLICE,
@@ -531,7 +533,7 @@ SLICE_FAILURES = {
         [(3, 5, 1e4), (100, 6, 2e4), (WIDE - 1, 7, 3e4)], True),
 }
 
-RECORDED = dict(record_stride=7, record_current=True, record_drive=True)
+RECORDED = dict(record_stride=7, record_current=True, record_drive=True, current_nperseg=333)
 
 
 def slice_case_digests():
@@ -541,7 +543,8 @@ def slice_case_digests():
         "uniform": (slice_config(UNIFORM, **RECORDED), []),
         "geometric": (slice_config(GEOMETRIC, **RECORDED), []),
     }
-    cases.update({name: case[:2] for name, case in SLICE_FAILURES.items()})
+    cases.update({name: (replace(cfg, **RECORDED), spikes)
+                  for name, (cfg, spikes, _) in SLICE_FAILURES.items()})
     out = {}
     for name, (cfg, spikes) in cases.items():
         h = hashlib.sha256()
@@ -551,18 +554,20 @@ def slice_case_digests():
         except InstabilityError as exc:
             h.update(f"{type(exc).__name__}: {exc}".encode())
         else:
-            for a in (res.mean, res.stderr, res.records, res.currents, res.drives):
+            for a in (res.mean, res.stderr, res.records, res.currents, res.drives,
+                      *res.current_psd):
                 h.update(b"-" if a is None else a.tobytes())
         out[name] = h.hexdigest()
     return out
 
 
 def assert_bitwise_equal(a, b):
-    for name in ("mean", "stderr", "records", "currents", "drives"):
+    for name in ("mean", "stderr", "records", "currents", "drives", "current_psd"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None) == (y is None), name
-        if x is not None:
-            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+        pairs = [] if x is None else zip(x, y) if name == "current_psd" else [(x, y)]
+        for u, v in pairs:
+            assert u.shape == v.shape and u.tobytes() == v.tobytes(), name
 
 
 @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
@@ -988,3 +993,65 @@ def test_current_psd_matches_suppressed_shot_noise():
     est = np.mean(psd[sel])
     assert est < 0.01  # far below shot noise
     assert abs(est - ref) / ref < 0.05
+
+
+STREAM_LOOP = LoopConfig(g=-19.0, eps=0.95, eta=0.8, filter=LoopFilter.single_pole(1e-3))
+
+
+def stream_config(duration, n_traj=16, **kw):
+    return make_config(loop=STREAM_LOOP, dt=1e-4, duration=duration, n_traj=n_traj, seed=55,
+                       initial_state=AtomState(0.0, 0.0, -1.0), phi_guard=2e4,
+                       record_stride=10**6, **kw)
+
+
+@pytest.mark.parametrize("nperseg", [None, 3, 333, 20000])
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_streamed_current_psd_is_the_raw_route(rows, nperseg):
+    # the spectrum summed while the run steps equals welch_spectrum of the
+    # raw current record: the grid bitwise, the same squares summed in
+    # another order; 20000 is clamped to the 4,999 steps, None takes the
+    # default length (0 in the config)
+    cfg = stream_config(0.4999, rows, record_current=True, current_nperseg=nperseg or 0)
+    res = run_ensemble(cfg)
+    omega, psd = res.current_psd
+    omega_ref, psd_ref = welch_spectrum(res.currents, cfg.dt, nperseg, min_segments=4)
+    assert np.array_equal(omega, omega_ref)
+    np.testing.assert_allclose(psd, psd_ref, rtol=1e-13, atol=0.0)
+    assert ensemble_current_psd(res) is res.current_psd
+    assert ensemble_current_psd(res, nperseg=64)[0].size == 31  # the raw record on request
+
+
+def test_streamed_current_psd_memory_does_not_grow_with_duration():
+    # one slice of 16 trajectories: the stream holds a window of 1,024 steps
+    # and per-row sums, not the (16, n_steps) record
+    run_ensemble(stream_config(0.2048, current_nperseg=1024))  # caches and FFT plans
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for steps, raw in ((20000, False), (80000, False), (20000, True)):
+            tracemalloc.reset_peak()
+            kw = dict(record_current=True) if raw else dict(current_nperseg=1024)
+            run_ensemble(stream_config(steps * 1e-4, **kw))
+            peaks[steps, raw] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(peaks[80000, False] / peaks[20000, False] - 1.0) < 0.1
+    assert peaks[80000, False] < 16 * 80000 * 8 / 4
+    assert peaks[20000, True] >= 16 * 20000 * 8
+
+
+def test_segment_clamped_below_three_steps_raises_before_any_step():
+    # 2 steps leave no bin between zero and Nyquist: the plan rejects the
+    # run before a generator is made
+    for nperseg in (0, 64):
+        cfg = stream_config(2e-4, current_nperseg=nperseg)
+        with rng_failing_in("parent", raise_value_error):
+            with pytest.raises(ParameterError, match="^nperseg must be at least 3, got 2$"):
+                run_ensemble(cfg)
+
+
+@pytest.mark.parametrize("nperseg", [2, 1.5, True, -1])
+def test_streamed_segment_length_is_validated(nperseg):
+    with pytest.raises(ParameterError, match="nperseg must be"):
+        stream_config(0.1, current_nperseg=nperseg).validate()
+
