@@ -39,7 +39,7 @@ from .loop import (
 from .output import load_config, reject_unknown, take, write_csv, write_manifest
 from .spectra import analytic_power_spectrum, comparison_report, numerical_power_spectrum
 from .squeezed_bath import build_squeezed_generator, free_rates, photon_parameters
-from .trajectories import TrajectoryConfig, ensemble_current_psd, run_ensemble
+from .trajectories import TrajectoryConfig, run_ensemble
 
 EXIT_IO = 1
 EXIT_USAGE = 2
@@ -116,6 +116,17 @@ def _read_run_config(args, keys, command: str) -> tuple[dict, LoopConfig]:
     return {k: v for k, v in run.items() if v is not None}, loop
 
 
+def _write_run(args, run: dict, tables: dict, manifest: str) -> int:
+    """Write a stochastic run's tables, every one computed before the first
+    file is written, then its manifest."""
+    outdir = _outdir(args)
+    for name, table in tables.items():
+        write_csv(outdir / name, table)
+    write_manifest(outdir / manifest, args.command, run, list(tables))
+    print(f"wrote {', '.join(tables)} and {manifest} in {outdir}")
+    return 0
+
+
 def _feedback_lambda(args) -> float:
     """Feedback strength from --eps and exactly one of --lambda or --g."""
     if (args.lam is None) == (args.g is None):
@@ -178,7 +189,6 @@ def cmd_loop_sim(args) -> int:
     run, loop = _read_run_config(args, _LOOP_SIM_KEYS, "loop-sim")
     dt = run["dt"]
     record = simulate_classical_loop(loop, dt, run["duration"], run["seed"])
-    # Every table is computed before the first file is written.
     tables = {}
     for name, series in (("psd_xin.csv", record.x_in), ("psd_current.csv", record.current)):
         omega, psd = welch_spectrum(series, dt, nperseg=run.get("nperseg"))
@@ -186,14 +196,7 @@ def cmd_loop_sim(args) -> int:
     if run["emit_records"]:
         for name, series in (("xin.csv", record.x_in), ("current.csv", record.current)):
             tables[name] = {"t": record.times, "value": series}
-    outdir = _outdir(args)
-    for name, table in tables.items():
-        write_csv(outdir / name, table)
-    outputs = list(tables)
-
-    write_manifest(outdir / "loop_manifest.json", "loop-sim", run, outputs)
-    print(f"wrote {', '.join(outputs)} and loop_manifest.json in {outdir}")
-    return 0
+    return _write_run(args, run, tables, "loop_manifest.json")
 
 
 def cmd_spectrum(args) -> int:
@@ -245,6 +248,8 @@ def cmd_fig2(args) -> int:
 
 def cmd_trajectories(args) -> int:
     run, loop = _read_run_config(args, _TRAJECTORY_KEYS, "trajectories")
+    if "nperseg" in run and not run["record_current"]:
+        raise ConfigError("nperseg sets the current spectrum: it needs record_current = true")
     cfg = TrajectoryConfig(
         loop=loop,
         dt=run["dt"],
@@ -257,7 +262,6 @@ def cmd_trajectories(args) -> int:
         current_nperseg=run.get("nperseg", 0) if run["record_current"] else None,
     )
     result = run_ensemble(cfg)
-    # Every table is computed before the first file is written.
     tables = {
         "means.csv": {
             "t": result.times,
@@ -269,18 +273,11 @@ def cmd_trajectories(args) -> int:
             "se_z": result.stderr[:, 2],
         }
     }
-    if cfg.current_nperseg is not None:
-        omega, psd = ensemble_current_psd(result)
+    if result.current_psd is not None:
+        omega, psd = result.current_psd
         tables["current_psd.csv"] = {"omega": omega, "value": psd}
-    outdir = _outdir(args)
-    for name, table in tables.items():
-        write_csv(outdir / name, table)
-    outputs = list(tables)
-
     run["record_stride"] = cfg.stride()
-    write_manifest(outdir / "trajectories_manifest.json", "trajectories", run, outputs)
-    print(f"wrote {', '.join(outputs)} and trajectories_manifest.json in {outdir}")
-    return 0
+    return _write_run(args, run, tables, "trajectories_manifest.json")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -554,7 +554,7 @@ def welch_spectrum(
     angular-frequency axis, normalized so unit white noise is flat at 1.
 
     `samples` is one record or a (rows, N) array of records.  Each record is
-    cut into segments x_k of nperseg samples starting every
+    cut into segments x_k of nperseg samples starting every `welch_hop`,
     nperseg - nperseg // 2 samples (a shorter tail is dropped), windowed by
     the periodic Hann `welch_window` w_k and transformed,
     X_j = sum_k w_k x_k exp(-2 pi i j k / nperseg).  The
@@ -567,8 +567,8 @@ def welch_spectrum(
     ParameterError.  Segments are a strided view, windowed and transformed
     by `segment_power` WELCH_BLOCK samples (at least one segment) per call,
     so memory stays within a few times 8 max(WELCH_BLOCK, nperseg) bytes at
-    any number of rows; the trajectory engine feeds it one segment at a
-    time as it steps.  No detrending: the records analyzed here are zero
+    any number of rows; the trajectory engine sums `segment_power` of each
+    segment as it steps.  No detrending: the records analyzed here are zero
     mean by construction, and per-segment mean removal would notch the
     lowest frequency bins.
     """
@@ -577,7 +577,7 @@ def welch_spectrum(
     x = np.atleast_2d(np.asarray(samples, dtype=float))
     window = welch_window(x.shape[-1], nperseg, min_segments)
     nperseg = window.size
-    segs = np.lib.stride_tricks.sliding_window_view(x, nperseg, -1)[:, :: nperseg - nperseg // 2]
+    segs = np.lib.stride_tricks.sliding_window_view(x, nperseg, -1)[:, :: welch_hop(nperseg)]
     rows, n_seg = segs.shape[:2]
     per_call = max(WELCH_BLOCK // nperseg, 1)
     rows_per_call = max(per_call // n_seg, 1)
@@ -586,7 +586,7 @@ def welch_spectrum(
         for s in range(0, n_seg, per_call):
             block = segs[r : r + rows_per_call, s : s + per_call]
             acc += segment_power(block, window).sum(axis=(0, 1))
-    return welch_density(acc, window, dt, rows * n_seg)
+    return welch_density(acc, window, dt, x.shape[-1], rows)
 
 
 def welch_window(n_samples: int, nperseg: int | None, min_segments: int) -> np.ndarray:
@@ -610,8 +610,14 @@ def segment_power(segs: np.ndarray, window: np.ndarray) -> np.ndarray:
     return spec.real**2 + spec.imag**2
 
 
-def welch_density(power: np.ndarray, window: np.ndarray, dt: float, segments: int):
-    """`welch_spectrum` from `segment_power` summed over `segments` segments."""
+def welch_hop(nperseg: int) -> int:
+    """Samples from the start of one Welch segment to the next: 50% overlap."""
+    return nperseg - nperseg // 2
+
+
+def welch_density(power: np.ndarray, window: np.ndarray, dt: float, n_samples: int, rows: int):
+    """`welch_spectrum` from `segment_power` summed over every segment of `rows` records."""
+    segments = rows * ((n_samples - window.size) // welch_hop(window.size) + 1)
     omega = 2.0 * np.pi * np.fft.rfftfreq(window.size, dt)[1 : (window.size + 1) // 2]
     return omega, power * (dt / (segments * (window @ window)))
 

@@ -70,9 +70,9 @@ independent need seeds at least 2**k >= n apart.
 Wide ensembles run on every CPU the process may use.  With geometric
 weights (flat ones have ratio 1) the n trajectories are cut into
 min(len(os.sched_getaffinity(0)), n // MIN_SLICE) contiguous slices of
-near-equal width; when that is 2 or more, slice 0 runs in this process and
-every other slice in a worker forked from it, which this process reaps
-after its own slice, also when that raises.  Each slice steps its
+near-equal width.  One slice runs in this process; of several, slice 0
+runs here and every other in a worker forked from it, which this process
+reaps after its own slice, also when that raises.  Each slice steps its
 trajectories with the same kernel and writes their rows of the record,
 current and drive arrays, which live in an anonymous shared mapping, so
 nothing is copied back.  Trajectories are independent columns of the
@@ -116,7 +116,8 @@ import numpy as np
 from .bloch import AtomState
 from .errors import InstabilityError, ParameterError, count, positive
 from .loop import (MIN_NPERSEG, WELCH_BLOCK, LoopConfig, assert_discrete_stable, assert_stable,
-                   check_nperseg, segment_power, welch_density, welch_spectrum, welch_window)
+                   check_nperseg, segment_power, welch_density, welch_hop, welch_spectrum,
+                   welch_window)
 
 # Steps of shot noise drawn per block.  The noise buffer holds NOISE_BLOCK
 # steps of a slice (8 * n * NOISE_BLOCK bytes), whatever the run length.
@@ -140,7 +141,7 @@ class TrajectoryConfig:
     every 0.01 lifetimes); `phi_guard` (positive and finite) aborts on
     runaway feedback drive.  `current_nperseg` streams the current's Welch
     spectrum into `EnsembleResult.current_psd` in segments of that many
-    steps (clamped to the run; 0: `ensemble_current_psd`'s default length).
+    steps (clamped to the run; 0: `welch_window`'s default, min_segments 4).
     """
 
     loop: LoopConfig
@@ -249,12 +250,15 @@ def _run_slice(plan: _Plan, records, currents, drives, lo, hi, empty=np.empty, p
     drives = drives[lo:hi] if drives is not None else None
     if power is not None:  # seg[:, :fill]: each row's current in its open segment
         power, window, nps, fill = power[lo:hi], plan.window, plan.window.size, 0
-        hop, group, seg = nps - nps // 2, max(WELCH_BLOCK // nps, 1), empty((n, nps))
+        hop, group, seg = welch_hop(nps), max(WELCH_BLOCK // nps, 1), empty((n, nps))
         power.fill(0.0)
+    flushes = cur_t is not None or power is not None
 
-    def feed(rows):  # the current of the steps after seg's, step-major like the ring
+    def flush(k, rows):  # the current of steps k - len(rows) + 1 .. k, step-major like the ring
         nonlocal fill
-        while len(rows):
+        if cur_t is not None:
+            cur_t[k + 1 - len(rows) : k + 1] = rows
+        while power is not None and len(rows):
             take = min(nps - fill, len(rows))
             seg[:, fill : fill + take] = rows[:take].T
             fill, rows = fill + take, rows[take:]
@@ -348,10 +352,8 @@ def _run_slice(plan: _Plan, records, currents, drives, lo, hi, empty=np.empty, p
                     sub(slot, lagged, lagged)
                     f_sum *= ratio
                     f_sum += lagged
-                if cur_t is not None and (j == m - 1 or k + 1 == n_steps):
-                    cur_t[k - j : k + 1] = ring[: j + 1]
-                if power is not None and (j == m - 1 or k + 1 == n_steps):
-                    feed(ring[: j + 1])
+                if flushes and (j == m - 1 or k + 1 == n_steps):
+                    flush(k, ring[: j + 1])
 
                 # Linear Kraus step, s = tr + Z (see the module docstring).
                 add(tr, z, s)
@@ -470,11 +472,12 @@ def _plan(cfg: TrajectoryConfig) -> _Plan:
     return _Plan(cfg, n_steps, rec_steps, weights, *_filter_mode(weights), window)
 
 
-def _run_cuts(plan: _Plan, cuts: list[int], forked: bool) -> EnsembleResult:
+def _run_cuts(plan: _Plan, cuts: list[int]) -> EnsembleResult:
     """Run the ensemble as the trajectory slices [cuts[i], cuts[i + 1]),
-    in forked workers or one after another in this process, then reduce."""
+    one in this process or several forked (`_run_forked`), then reduce."""
     cfg = plan.cfg
     n = cfg.n_traj
+    forked = len(cuts) > 2
     # Forked runs map outputs and noise buffers: the heap would keep the latter.
     empty = _shared_empty if forked else np.empty
     records = empty((n, len(plan.rec_steps), 3))
@@ -484,11 +487,7 @@ def _run_cuts(plan: _Plan, cuts: list[int], forked: bool) -> EnsembleResult:
     power = empty((n, (nps + 1) // 2 - 1)) if nps else None
     run_slice = functools.partial(_run_slice, plan, records, currents, drives, empty=empty,
                                   power=power)
-    if forked:
-        failures = _run_forked(run_slice, cuts)
-    else:
-        failures = [run_slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-    _raise_first_failure(cfg, failures)
+    _raise_first_failure(cfg, _run_forked(run_slice, cuts) if forked else [run_slice(*cuts)])
 
     mean = records.mean(axis=0)
     sq_dev = np.zeros_like(mean)  # records.var(axis=0, ddof=1)'s row-by-row sum
@@ -497,8 +496,7 @@ def _run_cuts(plan: _Plan, cuts: list[int], forked: bool) -> EnsembleResult:
         sq_dev += dev * dev
     stderr = np.sqrt(sq_dev / (n - 1) / n) if n > 1 else np.full_like(mean, np.nan)
     if nps:  # the rows' sums added in index order, averaged over every row's segments
-        segments = n * ((plan.n_steps - nps) // (nps - nps // 2) + 1)
-        current_psd = welch_density(power.sum(axis=0), plan.window, cfg.dt, segments)
+        current_psd = welch_density(power.sum(axis=0), plan.window, cfg.dt, plan.n_steps, n)
     return EnsembleResult(
         times=np.array(plan.rec_steps) * cfg.dt,
         mean=mean,
@@ -523,7 +521,7 @@ def run_ensemble(cfg: TrajectoryConfig) -> EnsembleResult:
     plan = _plan(cfg)
     n = cfg.n_traj
     slices = _slice_count(n, plan.filter_mode)
-    return _run_cuts(plan, [n * i // slices for i in range(slices + 1)], forked=slices > 1)
+    return _run_cuts(plan, [n * i // slices for i in range(slices + 1)])
 
 
 @dataclass(frozen=True)
@@ -573,14 +571,10 @@ def fit_decay_rate(
 def ensemble_current_psd(
     result: EnsembleResult, nperseg: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Welch spectrum of the current: `welch_spectrum` of the
-    (n_traj, n_steps) current array, averaged over every segment of every
-    trajectory, with at least 4 segments per trajectory by default.  Without
-    nperseg, a run that streamed it (`TrajectoryConfig.current_nperseg`)
-    returns that estimate."""
-    if nperseg is None and result.current_psd is not None:
-        return result.current_psd
+    """Welch spectrum of the current: `welch_spectrum` of the raw
+    (n_traj, n_steps) current record, averaged over every segment of every
+    trajectory, with at least 4 segments per trajectory by default.  A run's
+    streamed estimate is `EnsembleResult.current_psd`."""
     if result.currents is None:
-        raise ParameterError("run with record_current=True or current_nperseg to estimate "
-                             "the current PSD")
+        raise ParameterError("run with record_current=True to estimate the current PSD")
     return welch_spectrum(result.currents, result.config.dt, nperseg=nperseg, min_segments=4)

@@ -356,6 +356,19 @@ def test_nonpositive_nperseg_is_domain_error_without_output(tmp_path, command, c
     assert not out.exists()
 
 
+def test_nperseg_without_current_is_config_error_without_output(tmp_path):
+    # without record_current there is no current spectrum for nperseg to set
+    (tmp_path / "run.cfg").write_text(TRAJ_CONFIG + "nperseg = 64\n")
+    out = tmp_path / "out"
+    r = run_cli("trajectories", "--config", "run.cfg", "--seed", "9", "--outdir", str(out),
+                cwd=tmp_path)
+    assert r.returncode == 3
+    assert r.stderr.startswith("config error: nperseg sets the current spectrum: it needs "
+                               "record_current = true")
+    assert not out.exists()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["run.cfg"]
+
+
 @pytest.mark.parametrize(
     "command, config, seed",
     [("loop-sim", LOOP_CONFIG, "-5"), ("trajectories", TRAJ_CONFIG, "-1")],
@@ -555,19 +568,20 @@ def _random_run_config(command: str, rng: np.random.Generator) -> dict:
         break
     n = int(rng.integers(*steps))
     run["duration"] = n * dt
-    if rng.random() < 0.5:
-        run["nperseg"] = int(rng.integers(3, n + 1))
     if command == "loop-sim":
         run["emit_records"] = bool(rng.random() < 0.5)
-        return run
-    run["n_traj"] = int(rng.integers(1, 7))
-    r = rng.uniform(-1.0, 1.0, 3)
-    run["x0"], run["y0"], run["z0"] = (float(v) for v in r / max(1.0, np.linalg.norm(r)))
-    run["record_current"] = bool(rng.random() < 0.5)
-    if rng.random() < 0.5:
-        run["record_stride"] = int(rng.integers(1, 6))
-    if rng.random() < 0.5:
-        run["phi_guard"] = float(rng.uniform(1e3, 1e5))
+    else:
+        run["n_traj"] = int(rng.integers(1, 7))
+        r = rng.uniform(-1.0, 1.0, 3)
+        run["x0"], run["y0"], run["z0"] = (float(v) for v in r / max(1.0, np.linalg.norm(r)))
+        run["record_current"] = bool(rng.random() < 0.5)
+        if rng.random() < 0.5:
+            run["record_stride"] = int(rng.integers(1, 6))
+        if rng.random() < 0.5:
+            run["phi_guard"] = float(rng.uniform(1e3, 1e5))
+    # trajectories take nperseg only for the current spectrum
+    if run.get("record_current", True) and rng.random() < 0.5:
+        run["nperseg"] = int(rng.integers(3, n + 1))
     return run
 
 

@@ -28,7 +28,6 @@ from inloop.loop import (
     discrete_loop_transfer,
     loop_recursion_poles,
     simulate_classical_loop,
-    welch_spectrum,
 )
 from inloop.trajectories import (
     MIN_SLICE,
@@ -383,17 +382,8 @@ def test_closed_loop_engine_matches_scalar_oracle(filt, g, dt, duration):
         record_current=True, record_drive=True, phi_guard=1e5,
     )
     res = run_ensemble(cfg)
-    m_warm = int(round(filt.tau / dt))
     for i in range(cfg.n_traj):
-        dws = np.random.default_rng(cfg.seed ^ i).standard_normal(res.n_steps) * np.sqrt(dt)
-        s = cfg.initial_state
-        states, currents, drives = [s.bloch], [], []
-        for k in range(res.n_steps):
-            phi = feedback_drive(currents, filt, g, eps, dt) if k >= m_warm else 0.0
-            currents.append(mean_current(s, phi, eta, eps) + dws[k] / dt)
-            drives.append(phi)
-            s = step_conditioned(s, phi, dws[k], dt, eta, eps)
-            states.append(s.bloch)
+        states, currents, drives = scalar_oracle_run(cfg, i, res.n_steps)
         np.testing.assert_allclose(res.records[i], states, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(res.currents[i], currents, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(res.drives[i], drives, rtol=1e-12, atol=1e-12)
@@ -422,8 +412,10 @@ def scalar_oracle_run(cfg, i, n_steps):
         (LoopFilter.rectangular(1e-2), -3.0, 1e-3),  # uniform weights, 10 taps
         (LoopFilter.single_pole(5e-3), -3.0, 5e-4),  # geometric weights, 230 taps
         (LoopFilter.from_samples(5e-3, SWEEP_SAMPLES), -19.0, 1e-4),  # general, 50 taps
+        # 691 taps: the ring wraps at steps 691 and 1,382, across block ends
+        (LoopFilter.single_pole(3e-3), -19.0, 1e-4),
     ],
-    ids=["uniform", "geometric", "general"],
+    ids=["uniform", "geometric", "general", "memory_over_blocks"],
 )
 def test_strided_records_over_several_blocks_match_scalar_oracle(filt, g, dt):
     # more than three noise blocks with a record stride that divides neither
@@ -570,14 +562,13 @@ def assert_bitwise_equal(a, b):
             assert u.shape == v.shape and u.tobytes() == v.tobytes(), name
 
 
-@pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
 @pytest.mark.parametrize("filt", [UNIFORM, GEOMETRIC], ids=["uniform", "geometric"])
-def test_slices_leave_every_output_bitwise_unchanged(filt, forked):
-    # odd-width slices, run one after another or each in its own worker,
-    # against the ensemble stepped as one
+def test_slices_leave_every_output_bitwise_unchanged(filt):
+    # odd-width slices, each but the first in its own worker, against the
+    # ensemble stepped as one
     cfg = slice_config(filt, **RECORDED)
-    whole = _run_cuts(_plan(cfg), [0, WIDE], forked=False)
-    assert_bitwise_equal(_run_cuts(_plan(cfg), ODD_CUTS, forked=forked), whole)
+    whole = _run_cuts(_plan(cfg), [0, WIDE])
+    assert_bitwise_equal(_run_cuts(_plan(cfg), ODD_CUTS), whole)
     assert_bitwise_equal(run_ensemble(cfg), whole)
 
 
@@ -590,12 +581,11 @@ def test_slice_failures_merge_to_the_whole_ensemble_failure(case):
         failures = [f for f in (_run_slice(plan, rows, None, None, lo, hi)
                                 for lo, hi in zip(ODD_CUTS, ODD_CUTS[1:])) if f is not None]
         with pytest.raises(InstabilityError) as whole:
-            _run_cuts(plan, [0, WIDE], forked=False)
-        for forked in (False, True):
-            with pytest.raises(InstabilityError) as cut:
-                _run_cuts(plan, ODD_CUTS, forked=forked)
-            assert type(cut.value) is type(whole.value)
-            assert str(cut.value) == str(whole.value)
+            _run_cuts(plan, [0, WIDE])
+        with pytest.raises(InstabilityError) as cut:
+            _run_cuts(plan, ODD_CUTS)
+        assert type(cut.value) is type(whole.value)
+        assert str(cut.value) == str(whole.value)
     # the failures really are spread as the case says
     assert len(failures) == len(spikes)
     firsts = {step for step, _ in failures}
@@ -608,7 +598,7 @@ def test_slice_failures_merge_to_the_whole_ensemble_failure(case):
 @pytest.mark.parametrize("forked", [False, True], ids=["one_slice", "forked"])
 def test_stderr_is_bitwise_the_numpy_sample_variance(forked):
     cfg = slice_config(GEOMETRIC, duration=0.02)
-    res = _run_cuts(_plan(cfg), ODD_CUTS if forked else [0, WIDE], forked=forked)
+    res = _run_cuts(_plan(cfg), ODD_CUTS if forked else [0, WIDE])
     expected = np.sqrt(res.records.var(axis=0, ddof=1) / WIDE)
     assert res.stderr.tobytes() == expected.tobytes()
     single = run_ensemble(replace(cfg, n_traj=1))
@@ -647,7 +637,7 @@ def test_block_guard_reports_the_first_trip_exactly(case, forked):
             rows = np.empty((WIDE, len(plan.rec_steps), 3))
             assert _run_slice(plan, rows, None, None, 0, WIDE) == (step, peaks[step])
         with pytest.raises(InstabilityError) as exc:
-            _run_cuts(plan, ODD_CUTS if forked else [0, WIDE], forked=forked)
+            _run_cuts(plan, ODD_CUTS if forked else [0, WIDE])
     assert str(exc.value) == (
         f"feedback drive |Phi| = {peaks[step]:.3g} exceeded the guard "
         f"{cfg.phi_guard:.3g} at t = {step * cfg.dt:.4g}"
@@ -743,7 +733,7 @@ def test_dead_worker_raises_runtime_error():
     with rng_failing_in("worker", lambda: os._exit(1)):
         with pytest.raises(RuntimeError, match=r"^trajectory slice 1 \[300, 549\) failed: "
                                                r"its worker exited with status 1$"):
-            _run_cuts(plan, [0, 300, WIDE], forked=True)
+            _run_cuts(plan, [0, 300, WIDE])
     assert_no_child_left()
 
 
@@ -752,7 +742,7 @@ def test_raising_worker_is_a_runtime_error_after_its_traceback(capfd):
     with rng_failing_in("worker", raise_value_error):
         with pytest.raises(RuntimeError, match=r"^trajectory slice 1 \[64, 549\) failed: "
                                                r"its worker exited with status 1$"):
-            _run_cuts(plan, [0, 64, WIDE], forked=True)
+            _run_cuts(plan, [0, 64, WIDE])
     assert_no_child_left()
     err = capfd.readouterr().err
     assert "Traceback" in err and err.rstrip().endswith("ValueError: no stream here")
@@ -762,7 +752,7 @@ def test_raising_parent_slice_reaps_every_worker():
     plan = _plan(slice_config(UNIFORM, duration=0.01))
     with rng_failing_in("parent", raise_value_error):
         with pytest.raises(ValueError, match="no stream here"):
-            _run_cuts(plan, [0, 7, 300, WIDE], forked=True)
+            _run_cuts(plan, [0, 7, 300, WIDE])
     assert_no_child_left()
 
 
@@ -779,10 +769,10 @@ def test_fork_warning_of_a_multi_threaded_process_loses_no_worker():
         return pid
 
     cfg = slice_config(GEOMETRIC, duration=0.02)
-    whole = _run_cuts(_plan(cfg), [0, WIDE], forked=False)
+    whole = _run_cuts(_plan(cfg), [0, WIDE])
     with warnings.catch_warnings(), mock.patch.object(os, "fork", warning_fork):
         warnings.simplefilter("error", DeprecationWarning)
-        assert_bitwise_equal(_run_cuts(_plan(cfg), ODD_CUTS, forked=True), whole)
+        assert_bitwise_equal(_run_cuts(_plan(cfg), ODD_CUTS), whole)
     assert_no_child_left()
 
 
@@ -1014,11 +1004,10 @@ def test_streamed_current_psd_is_the_raw_route(rows, nperseg):
     cfg = stream_config(0.4999, rows, record_current=True, current_nperseg=nperseg or 0)
     res = run_ensemble(cfg)
     omega, psd = res.current_psd
-    omega_ref, psd_ref = welch_spectrum(res.currents, cfg.dt, nperseg, min_segments=4)
+    omega_ref, psd_ref = ensemble_current_psd(res, nperseg)  # welch_spectrum of res.currents
     assert np.array_equal(omega, omega_ref)
     np.testing.assert_allclose(psd, psd_ref, rtol=1e-13, atol=0.0)
-    assert ensemble_current_psd(res) is res.current_psd
-    assert ensemble_current_psd(res, nperseg=64)[0].size == 31  # the raw record on request
+    assert ensemble_current_psd(res, nperseg=64)[0].size == 31
 
 
 def test_streamed_current_psd_memory_does_not_grow_with_duration():
