@@ -557,10 +557,10 @@ def welch_spectrum(
     cut into segments x_k of nperseg samples starting every `welch_hop`,
     nperseg - nperseg // 2 samples (a shorter tail is dropped), windowed by
     the periodic Hann `welch_window` w_k and transformed,
-    X_j = sum_k w_k x_k exp(-2 pi i j k / nperseg).  The
-    estimate at w_j = 2 pi j / (nperseg dt), on the bins
-    j = 1 .. (nperseg + 1) // 2 - 1 strictly between zero and Nyquist, is
-    |X_j|^2 dt / sum_k w_k^2 averaged over every segment of every row
+    X_j = sum_k w_k x_k exp(-2 pi i j k / nperseg).  The estimate at
+    w_j = 2 pi j / (nperseg dt), on the bins j = 1 .. (nperseg + 1) // 2 - 1
+    strictly between zero and Nyquist, is |X_j|^2 dt / sum_k w_k^2, with
+    sum_k w_k^2 = 3 nperseg / 8 exactly, averaged over every segment of every row
     (Welch, IEEE Trans. Audio Electroacoust. 15, 70 (1967)).
 
     The window sets nperseg; a dt that is not positive and finite raises
@@ -619,7 +619,7 @@ def welch_density(power: np.ndarray, window: np.ndarray, dt: float, n_samples: i
     """`welch_spectrum` from `segment_power` summed over every segment of `rows` records."""
     segments = rows * ((n_samples - window.size) // welch_hop(window.size) + 1)
     omega = 2.0 * np.pi * np.fft.rfftfreq(window.size, dt)[1 : (window.size + 1) // 2]
-    return omega, power * (dt / (segments * (window @ window)))
+    return omega, power * (dt / (segments * (3 * window.size / 8)))
 
 
 def check_nperseg(nperseg: int) -> int:

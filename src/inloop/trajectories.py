@@ -51,21 +51,21 @@ would need tau/dt >> g^2 orders of magnitude beyond any practical budget
 (it silently distorts the ensemble drift long before it visibly diverges).
 
 Ensembles are bitwise deterministic for a fixed (seed, n_traj, dt): each
-trajectory consumes its own generator seeded with seed XOR index (drawn in
-blocks of NOISE_BLOCK steps, which leaves the stream unchanged), all
-trajectories are stepped in lockstep by elementwise vectorized arithmetic,
-and the mean is records.mean(axis=0) and the variance a row-by-row sum of
-squared deviations, bitwise records.var(axis=0, ddof=1): both add the rows
-in trajectory-index order.
-With geometric filter weights (flat ones have ratio 1) a member's
-operation order does not depend on the ensemble size, so member i equals
-the single run seeded seed XOR i bitwise; general weights take the
-feedback drive from a BLAS matrix-vector product, whose summation order
-may change with the ensemble size, so there the two agree to rounding.
-Reproducible is not independent: seeds that differ only in bits below the
-bit length of n draw nearly the same set of streams (seeds 11, 12 and 13 at
-n = 1000 fit the same decay rate to five digits), so ensembles meant to be
-independent need seeds at least 2**k >= n apart.
+trajectory i draws from its own generator `_stream(seed, i)` (in blocks of
+NOISE_BLOCK steps, which leaves the stream unchanged), all trajectories are
+stepped in lockstep by elementwise arithmetic, and the mean and variance
+(records.mean(axis=0), bitwise records.var(axis=0, ddof=1) as a row-by-row
+sum of squared deviations) add the rows in trajectory-index order.  Only
+`_stream` derives a stream (seed XOR i); tests substitute noise only there
+(a run looks it up, and forked slices inherit it), and a coupled run at 2 dt
+reads the fine streams pairwise, (xi_2k + xi_2k+1) / sqrt 2.  With geometric
+weights a member's operation order does not depend on the ensemble size, so
+member i equals a one-trajectory run on its stream bitwise; general weights
+take the feedback drive from a BLAS matrix-vector product, whose summation
+order may change with the ensemble size, so there the two agree to rounding.
+Reproducible is not independent: seeds differing only below bit length(n)
+draw nearly the same streams (at n = 1000 seeds 11, 12 and 13 fit one decay
+rate to five digits), so independent ensembles need seeds 2**k >= n apart.
 
 Wide ensembles run on every CPU the process may use.  With geometric
 weights (flat ones have ratio 1) the n trajectories are cut into
@@ -233,6 +233,11 @@ def _raise_first_failure(cfg: TrajectoryConfig, failures) -> None:
     )
 
 
+def _stream(seed: int, i: int) -> np.random.Generator:
+    """The normal stream of trajectory i in an ensemble seeded `seed`."""
+    return np.random.default_rng(seed ^ i)
+
+
 def _run_slice(plan: _Plan, records, currents, drives, lo, hi, empty=np.empty, power=None):
     """Step trajectories [lo, hi) in lockstep, writing their rows of the
     output arrays, and of `power`, the per-row sums of the current's
@@ -292,7 +297,7 @@ def _run_slice(plan: _Plan, records, currents, drives, lo, hi, empty=np.empty, p
     lag_table = np.concatenate((weights[::-1], weights[::-1]))
     rec_steps = plan.rec_steps
 
-    rngs = [np.random.default_rng(cfg.seed ^ i) for i in range(lo, hi)]
+    rngs = [_stream(cfg.seed, i) for i in range(lo, hi)]
 
     state = np.repeat(cfg.initial_state.bloch[:, None], n, axis=1)
     x, y, z = state

@@ -16,7 +16,10 @@ exact verdict on the discretized loop recursion,
 `fit_lorentzian_pair` with scipy's trust-region least squares, and
 `single_pole_hybrid_generator` is the exact generator of the atom jointly
 with a single-pole feedback drive, the finite-bandwidth reference for the
-engine's decay rates and, as tau -> 0, for `inloop.feedback.rates`.
+engine's decay rates and, as tau -> 0, for `inloop.feedback.rates`, and
+`CoupledNormals` feeds a run at 2 dt the Brownian path of a run at dt
+through `inloop.trajectories._stream`, whose rate difference
+`paired_rate_stderr` bounds.
 Conventions are those of `inloop.bloch`.  With r the Bloch vector
 of rho, A = a0 I + a . sigma_vec with complex a, and Hermitian
 H = h0 I + h . sigma_vec:
@@ -186,6 +189,39 @@ def step_conditioned(
     half = 0.5 * np.sqrt(eta) * phi * dt
     u = np.cos(half) * IDENTITY - 1j * np.sin(half) * PAULI_Y
     return state_from_matrix(u @ rho @ u.conj().T)
+
+
+class CoupledNormals:
+    """Stand-in for a trajectory's generator in a run at 2 dt coupled to the
+    run at dt on one Brownian path: each coarse normal is
+    (xi_2k + xi_2k+1) / sqrt 2 of the normals xi of the fine generator,
+    read pairwise in order (M. B. Giles, Oper. Res. 56, 607 (2008))."""
+
+    def __init__(self, fine):
+        self.fine = fine
+
+    def standard_normal(self, out):
+        xi = self.fine.standard_normal(2 * out.size)
+        return np.divide(xi[0::2] + xi[1::2], np.sqrt(2.0), out=out)
+
+
+def decay_rate_terms(result, component="x", window=(0.5, 3.0)) -> np.ndarray:
+    """The delta-method terms u_i = sum_t (a_t / m_t) X_it of
+    `fit_decay_rate`, one per trajectory; its error is sqrt(Var(u) / n)."""
+    ci = "xyz".index(component)
+    t = result.times
+    sel = (t >= window[0]) & (t <= window[1])
+    a = t[sel] - t[sel].mean()
+    a /= a @ a
+    return result.records[:, sel, ci] @ (a / result.mean[sel, ci])
+
+
+def paired_rate_stderr(a, b, component="x", window=(0.5, 3.0)) -> float:
+    """Standard error of fit_decay_rate(a).rate - fit_decay_rate(b).rate for
+    two runs of n trajectories on coupled noise, trajectory i of one paired
+    with trajectory i of the other: sqrt(Var_i(u_a,i - u_b,i) / n)."""
+    d = decay_rate_terms(a, component, window) - decay_rate_terms(b, component, window)
+    return float(np.sqrt(np.var(d, ddof=1) / d.size))
 
 
 def single_pole_hybrid_generator(eta, eps, g, tau, n_modes=16) -> np.ndarray:

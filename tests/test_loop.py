@@ -709,6 +709,27 @@ def test_welch_spectrum_memory_does_not_grow_with_rows(rows):
     assert peak < 4 * 2**20
 
 
+def test_welch_spectrum_is_bitwise_the_same_on_one_blas_thread():
+    # OpenBLAS splits a long dot product over its threads: a window
+    # normalization taken as one would move in the last bits at 65,536
+    # samples per segment
+    code = (
+        "import hashlib, numpy as np\n"
+        "from inloop.loop import welch_spectrum\n"
+        "x = np.random.default_rng(11).standard_normal(3 * 65536)\n"
+        "print(hashlib.sha256(welch_spectrum(x, 0.01, nperseg=65536)[1].tobytes()).hexdigest())\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(loop.__file__).resolve().parents[1])
+    digests = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(env, **threads))
+        assert r.returncode == 0, r.stderr
+        digests.append(r.stdout)
+    assert digests[0] == digests[1]
+
+
 def test_simulated_white_noise_is_flat():
     cfg = LoopConfig(g=0.0, eps=1.0, eta=0.8, filter=RECT)
     rec = simulate_classical_loop(cfg, dt=0.02, duration=1e4, seed=7)

@@ -9,6 +9,7 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -18,6 +19,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from inloop import trajectories
 from inloop.bloch import AtomState
 from inloop.errors import InstabilityError, ParameterError
 from inloop.feedback import build_generator, propagate
@@ -38,13 +40,18 @@ from inloop.trajectories import (
     _raise_first_failure,
     _run_cuts,
     _run_slice,
+    _slice_count,
+    _stream,
     ensemble_current_psd,
     fit_decay_rate,
     run_ensemble,
 )
 from oracles import (
+    CoupledNormals,
+    decay_rate_terms,
     feedback_drive,
     mean_current,
+    paired_rate_stderr,
     single_pole_hybrid_rates,
     step_conditioned,
     two_sided_welch,
@@ -184,6 +191,12 @@ def test_config_validation():
         make_config(seed=-1).validate()
 
 
+def test_default_record_stride_is_a_hundredth_of_a_lifetime():
+    assert make_config(dt=1e-3).stride() == 10
+    assert make_config(dt=1e-4).stride() == 100
+    assert make_config(dt=1e-4, record_stride=7).stride() == 7
+
+
 # A filter of each kind with the scale whose tenth bounds the step: tau, or
 # 4 time_constant where that is shorter (not at the default tau/4).
 STEP_RULE_FILTERS = {
@@ -303,27 +316,21 @@ def test_ensemble_reduction_is_the_explicit_row_sum(n):
 
 
 def test_ensemble_member_equals_single_run():
-    cfg = make_config(
-        loop=LoopConfig(g=-3.0, eps=0.9, eta=0.8, filter=LoopFilter.single_pole(1e-2)),
-        duration=0.3,
-        n_traj=6,
-        seed=77,
-        phi_guard=1e5,
-    )
-    multi = run_ensemble(cfg)
-    for i in range(cfg.n_traj):
-        single = run_ensemble(
-            TrajectoryConfig(
-                loop=cfg.loop,
-                dt=cfg.dt,
-                duration=cfg.duration,
-                n_traj=1,
-                seed=cfg.seed ^ i,
-                initial_state=cfg.initial_state,
-                phi_guard=cfg.phi_guard,
-            )
+    # geometric (single pole) and flat (rectangular) weights: member i is
+    # bitwise the one-trajectory run fed trajectory i's stream
+    for filt in (LoopFilter.single_pole(1e-2), LoopFilter.rectangular(1e-2)):
+        cfg = make_config(
+            loop=LoopConfig(g=-3.0, eps=0.9, eta=0.8, filter=filt),
+            duration=0.3,
+            n_traj=6,
+            seed=77,
+            phi_guard=1e5,
         )
-        assert np.allclose(single.records[0], multi.records[i], atol=1e-14, rtol=0.0)
+        multi = run_ensemble(cfg)
+        for i in range(cfg.n_traj):
+            with mock.patch.object(trajectories, "_stream", lambda seed, _, i=i: _stream(seed, i)):
+                single = run_ensemble(replace(cfg, n_traj=1))
+            assert single.records[0].tobytes() == multi.records[i].tobytes(), (filt.kind, i)
 
 
 def test_overshoot_kick_stays_in_the_ball():
@@ -336,9 +343,9 @@ def test_overshoot_kick_stays_in_the_ball():
         loop=LoopConfig(g=0.0, eps=1.0, eta=1.0, filter=LoopFilter.rectangular(1e-2)),
         duration=0.01, n_traj=1, seed=3, initial_state=s0, record_stride=1,
     )
-    draw = REAL_RNG(cfg.seed).standard_normal()
+    draw = _stream(cfg.seed, 0).standard_normal()
     factor = 5.0 / (draw * np.sqrt(dt))
-    with spiked_streams(cfg.seed, [(0, 0, factor)]):
+    with spiked_streams([(0, 0, factor)]):
         res = run_ensemble(cfg)
     s = step_conditioned(s0, 0.0, draw * factor * np.sqrt(dt), dt, 1.0, 1.0)
     assert s.purity <= 1.0
@@ -351,8 +358,7 @@ def test_engine_matches_step_conditioned():
     # and the scalar stepper with the same noise stream
     cfg = make_config(duration=0.05, n_traj=1, seed=5, record_stride=1, record_current=True)
     res = run_ensemble(cfg)
-    rng = np.random.default_rng(5 ^ 0)
-    dws = rng.standard_normal(res.n_steps) * np.sqrt(cfg.dt)
+    dws = _stream(cfg.seed, 0).standard_normal(res.n_steps) * np.sqrt(cfg.dt)
     s = cfg.initial_state
     for k in range(res.n_steps):
         s = step_conditioned(s, 0.0, dws[k], cfg.dt, 0.8, 0.95)
@@ -393,7 +399,7 @@ def scalar_oracle_run(cfg, i, n_steps):
     """States, currents and drives of trajectory i by step_conditioned and
     feedback_drive, driven by its engine noise stream."""
     loop, dt = cfg.loop, cfg.dt
-    dws = np.random.default_rng(cfg.seed ^ i).standard_normal(n_steps) * np.sqrt(dt)
+    dws = _stream(cfg.seed, i).standard_normal(n_steps) * np.sqrt(dt)
     m_warm = int(round(loop.filter.tau / dt))
     s = cfg.initial_state
     states, currents, drives = [s.bloch], [], []
@@ -448,7 +454,7 @@ def test_states_divided_only_at_block_ends_stay_in_the_ball():
         dt=1e-2, duration=3500.0, n_traj=2, seed=29, initial_state=AtomState(0.6, 0.5, -0.3),
         record_stride=10**6, record_current=True, record_drive=True, phi_guard=1e6,
     )
-    with warnings.catch_warnings(), spiked_streams(cfg.seed, [(1, NOISE_BLOCK + 100, 1e3)]):
+    with warnings.catch_warnings(), spiked_streams([(1, NOISE_BLOCK + 100, 1e3)]):
         warnings.simplefilter("error", RuntimeWarning)
         res = run_ensemble(cfg)
     assert res.records.shape[1] == 2
@@ -464,7 +470,6 @@ WIDE = 2 * MIN_SLICE + 37
 ODD_CUTS = [0, 1, 7, 64, 300, WIDE]
 TESTS = str(Path(__file__).resolve().parent)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-REAL_RNG = np.random.default_rng
 
 
 class SpikedGenerator:
@@ -482,17 +487,15 @@ class SpikedGenerator:
         return out
 
 
-def spiked_streams(seed, spikes):
-    """Stand-in for np.random.default_rng: in an ensemble seeded `seed`,
-    trajectory i draws from its own stream with the step-k draw scaled by f
-    for each (i, k, f) in `spikes`."""
+def spiked_streams(spikes):
+    """Stand-in for `trajectories._stream`: trajectory i draws from its own
+    stream with the step-k draw scaled by f for each (i, k, f) in `spikes`."""
 
-    def make(stream_seed):
-        mine = [(k, f) for i, k, f in spikes if seed ^ i == stream_seed]
-        rng = REAL_RNG(stream_seed)
-        return SpikedGenerator(rng, mine) if mine else rng
+    def stream(seed, i):
+        mine = [(k, f) for j, k, f in spikes if j == i]
+        return SpikedGenerator(_stream(seed, i), mine) if mine else _stream(seed, i)
 
-    return mock.patch.object(np.random, "default_rng", make)
+    return mock.patch.object(trajectories, "_stream", stream)
 
 
 def slice_config(filt, duration=0.06, phi_guard=2e4, **kw):
@@ -541,7 +544,7 @@ def slice_case_digests():
     for name, (cfg, spikes) in cases.items():
         h = hashlib.sha256()
         try:
-            with spiked_streams(cfg.seed, spikes):
+            with spiked_streams(spikes):
                 res = run_ensemble(cfg)
         except InstabilityError as exc:
             h.update(f"{type(exc).__name__}: {exc}".encode())
@@ -576,7 +579,7 @@ def test_slices_leave_every_output_bitwise_unchanged(filt):
 def test_slice_failures_merge_to_the_whole_ensemble_failure(case):
     cfg, spikes, same_step = SLICE_FAILURES[case]
     plan = _plan(cfg)
-    with spiked_streams(cfg.seed, spikes):
+    with spiked_streams(spikes):
         rows = np.empty((WIDE, len(plan.rec_steps), 3))
         failures = [f for f in (_run_slice(plan, rows, None, None, lo, hi)
                                 for lo, hi in zip(ODD_CUTS, ODD_CUTS[1:])) if f is not None]
@@ -622,16 +625,16 @@ def test_block_guard_reports_the_first_trip_exactly(case, forked):
     assert plan.n_steps % NOISE_BLOCK != 0
     spike, overflow = BLOCK_TRIPS[case]
     i = 100  # a forked worker's trajectory in ODD_CUTS
-    draw = REAL_RNG(cfg.seed ^ i).standard_normal(overflow + 1)[overflow]
+    draw = _stream(cfg.seed, i).standard_normal(overflow + 1)[overflow]
     spikes = [(i, spike, 1e4), (i, overflow, 1e300 / abs(draw * np.sqrt(cfg.dt)))]
     # the first step over the guard in the drive record of a run without the
     # overflowing spike and with a guard it never meets
-    with spiked_streams(cfg.seed, spikes[:1]):
+    with spiked_streams(spikes[:1]):
         drives = run_ensemble(replace(cfg, phi_guard=1e300, record_drive=True)).drives
     peaks = np.abs(drives).max(axis=0)
     step = int(np.argmax(peaks > cfg.phi_guard))
     assert step == spike + 1
-    with warnings.catch_warnings(), spiked_streams(cfg.seed, spikes):
+    with warnings.catch_warnings(), spiked_streams(spikes):
         warnings.simplefilter("error", RuntimeWarning)
         if not forked:
             rows = np.empty((WIDE, len(plan.rec_steps), 3))
@@ -695,6 +698,26 @@ def _ensemble_in_pool_worker():
     return res.mean, res.records, resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
 
 
+def test_no_slice_forks_while_another_thread_runs(monkeypatch):
+    # fork copies only the calling thread, so while another Python thread
+    # runs an ensemble that the reported CPUs would slice stays one slice
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert _slice_count(8 * MIN_SLICE, "geometric") == 8
+    cfg = slice_config(GEOMETRIC, duration=0.02)
+    whole = _run_cuts(_plan(cfg), [0, WIDE])
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert _slice_count(8 * MIN_SLICE, "geometric") == 1
+        with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+            assert_bitwise_equal(run_ensemble(cfg), whole)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
 def test_daemonic_pool_worker_forks_its_slices():
     # only multiprocessing forbids a daemonic process children: its own
     # forks run the slices
@@ -712,16 +735,16 @@ def assert_no_child_left():
 
 
 def rng_failing_in(where, fail):
-    """Stand-in for np.random.default_rng that calls `fail` in the test
+    """Stand-in for `trajectories._stream` that calls `fail` in the test
     process (where="parent") or in its forked workers (where="worker")."""
     parent = os.getpid()
 
-    def default_rng(seed):
+    def stream(seed, i):
         if (os.getpid() == parent) == (where == "parent"):
             fail()
-        return REAL_RNG(seed)
+        return _stream(seed, i)
 
-    return mock.patch.object(np.random, "default_rng", default_rng)
+    return mock.patch.object(trajectories, "_stream", stream)
 
 
 def raise_value_error():
@@ -774,6 +797,68 @@ def test_fork_warning_of_a_multi_threaded_process_loses_no_worker():
         warnings.simplefilter("error", DeprecationWarning)
         assert_bitwise_equal(_run_cuts(_plan(cfg), ODD_CUTS), whole)
     assert_no_child_left()
+
+
+# -- coupled coarse/fine runs -------------------------------------------------
+
+COUPLED_LOOP = LoopConfig(g=-19.0, eps=0.95, eta=0.8, filter=LoopFilter.rectangular(0.1))
+
+
+def coupled_streams():
+    """Stand-in for `trajectories._stream` that feeds a run at 2 dt the
+    Brownian path of the same ensemble at dt (`CoupledNormals`)."""
+    return mock.patch.object(trajectories, "_stream",
+                             lambda seed, i: CoupledNormals(_stream(seed, i)))
+
+
+class ReplayedNormals:
+    """A generator that hands out the given normals in order."""
+
+    def __init__(self, normals):
+        self.normals, self.pos = normals, 0
+
+    def standard_normal(self, out):
+        out[:] = self.normals[self.pos : self.pos + out.size]
+        self.pos += out.size
+        return out
+
+
+def test_coupled_coarse_run_reads_the_fine_streams_pairwise():
+    # two whole noise blocks and a partial one: each coarse block reads the
+    # next 2 NOISE_BLOCK normals of the fine stream
+    n_steps, dt = 2 * NOISE_BLOCK + 77, 2e-3
+    cfg = make_config(loop=COUPLED_LOOP, dt=dt, duration=n_steps * dt, n_traj=3, seed=9,
+                      record_stride=5, record_current=True, record_drive=True, phi_guard=2e4)
+    with coupled_streams():
+        coupled = run_ensemble(cfg)
+    summed = []
+    for i in range(cfg.n_traj):
+        xi = _stream(cfg.seed, i).standard_normal(2 * n_steps)
+        summed.append((xi[0::2] + xi[1::2]) / np.sqrt(2.0))
+    with mock.patch.object(trajectories, "_stream", lambda seed, i: ReplayedNormals(summed[i])):
+        replayed = run_ensemble(cfg)
+    assert coupled.n_steps == n_steps and n_steps % NOISE_BLOCK != 0
+    assert_bitwise_equal(coupled, replayed)
+
+
+def test_coupled_pair_resolves_the_step_bias():
+    # the x decay rate at 2 dt and at dt on one Brownian path (the coupling
+    # of multilevel Monte Carlo, M. B. Giles, Oper. Res. 56, 607 (2008)):
+    # the difference, about 1.5e-3, is a fraction of either run's error but
+    # many of the paired error
+    fine_cfg = TrajectoryConfig(
+        loop=COUPLED_LOOP, dt=1e-3, duration=3.0, n_traj=2000, seed=31,
+        initial_state=AtomState(1.0, 0.0, 0.0), phi_guard=2e4,
+    )
+    fine = run_ensemble(fine_cfg)
+    with coupled_streams():
+        coarse = run_ensemble(replace(fine_cfg, dt=2e-3))
+    fit_fine, fit_coarse = fit_decay_rate(fine, "x"), fit_decay_rate(coarse, "x")
+    u = decay_rate_terms(fine)  # fit_decay_rate's own terms
+    assert abs(np.std(u, ddof=1) / np.sqrt(u.size) / fit_fine.stderr - 1.0) < 1e-12
+    paired = paired_rate_stderr(coarse, fine)
+    assert fit_coarse.rate - fit_fine.rate > 5.0 * paired
+    assert (fit_coarse.stderr**2 + fit_fine.stderr**2) / paired**2 > 100.0
 
 
 def test_open_loop_ensemble_matches_master_equation():
