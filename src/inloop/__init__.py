@@ -15,13 +15,16 @@ loop to the atomic response:
 - `inloop.squeezed_bath`: the free broad-band squeezed bath used for
   comparison, built on the same `RateSet` and `AffineGenerator`, with the
   (N, M) parameter conversion;
-- `inloop.spectra`: dipole correlation functions and fluorescence power
-  spectra by quantum regression, analytic and numerical routes;
+- `inloop.spectra`: fluorescence power spectra by quantum regression of
+  the dipole correlation, analytic and numerical routes;
 - `inloop.trajectories`: conditioned stochastic trajectories with explicit
   feedback delay, deterministic ensembles, and decay-rate fitting;
 - `inloop.cli`: the `inloop` command-line front end.
 
-Times and frequencies are in units of the atomic lifetime throughout.
+Times and frequencies are in units of the atomic lifetime throughout.  The
+package exports what its command line, demos and README call; the reference
+routes that only the tests read (dense operator matrices, the closed-form
+dipole correlation and total flux) live in the test suite's `oracles`.
 """
 
 from .bloch import AtomOperator, AtomState
@@ -50,10 +53,8 @@ from .spectra import (
     Spectrum,
     analytic_power_spectrum,
     comparison_report,
-    correlation,
     fit_lorentzian_pair,
     numerical_power_spectrum,
-    total_flux,
 )
 from .squeezed_bath import (
     build_squeezed_generator,
@@ -86,7 +87,6 @@ __all__ = [
     "build_generator",
     "build_squeezed_generator",
     "comparison_report",
-    "correlation",
     "fit_decay_rate",
     "fit_lorentzian_pair",
     "free_rates",
@@ -103,6 +103,5 @@ __all__ = [
     "run_ensemble",
     "simulate_classical_loop",
     "squeezing_from_lambda",
-    "total_flux",
     "welch_spectrum",
 ]

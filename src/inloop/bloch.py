@@ -80,24 +80,15 @@ class AtomState:
         """Squared Bloch length x^2 + y^2 + z^2 (1 for pure states)."""
         return self.x * self.x + self.y * self.y + self.z * self.z
 
-    def validate(self, tol: float = EXACT_PURITY_TOL) -> "AtomState":
+    def validate(self) -> "AtomState":
         if not np.all(np.isfinite(self.bloch)):
             raise ParameterError("Bloch components must be finite")
-        if self.purity > 1.0 + tol:
+        if self.purity > 1.0 + EXACT_PURITY_TOL:
             raise ParameterError(
                 f"Bloch vector of squared length {self.purity:.3e} lies outside "
-                f"the unit ball (tolerance {tol:.1e})"
+                f"the unit ball (tolerance {EXACT_PURITY_TOL:.1e})"
             )
         return self
-
-    @classmethod
-    def ground(cls) -> "AtomState":
-        return cls(0.0, 0.0, -1.0)
-
-    @classmethod
-    def from_bloch(cls, r) -> "AtomState":
-        r = np.asarray(r, dtype=float)
-        return cls(float(r[0]), float(r[1]), float(r[2]))
 
 
 @dataclass(frozen=True)
@@ -115,15 +106,6 @@ class AtomOperator:
         return np.array([self.ax, self.ay, self.az], dtype=complex)
 
     @property
-    def matrix(self) -> np.ndarray:
-        return (
-            self.a0 * IDENTITY
-            + self.ax * PAULI_X
-            + self.ay * PAULI_Y
-            + self.az * PAULI_Z
-        )
-
-    @property
     def is_hermitian(self) -> bool:
         scale = max(1.0, abs(self.a0), abs(self.ax), abs(self.ay), abs(self.az))
         return (
@@ -137,14 +119,6 @@ class AtomOperator:
     def lowering(cls) -> "AtomOperator":
         """sigma = |g><e| = (sigma_x - i sigma_y)/2."""
         return cls(0.0, 0.5, -0.5j, 0.0)
-
-    @classmethod
-    def raising(cls) -> "AtomOperator":
-        return cls(0.0, 0.5, 0.5j, 0.0)
-
-    @classmethod
-    def identity(cls) -> "AtomOperator":
-        return cls(1.0, 0.0, 0.0, 0.0)
 
 
 def _cross_matrix(u) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Fluorescence correlation functions and power spectra by quantum regression.
+"""Fluorescence power spectra by quantum regression of the dipole correlation.
 
 For either master equation (feedback or free squeezed bath) the Bloch
 equations decouple, so the steady-state dipole correlation follows from the
@@ -60,19 +60,6 @@ class Spectrum:
         if self.grid.shape != self.values.shape:
             raise ParameterError("grid and values must have matching shapes")
 
-    def at(self, omega: float) -> float:
-        idx = int(np.argmin(np.abs(self.grid - omega)))
-        return float(self.values[idx])
-
-
-def correlation(rate_set: RateSet, z_ss: float, tau) -> np.ndarray:
-    """Steady-state dipole correlation c(tau) for tau >= 0."""
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0.0):
-        raise ParameterError("correlation lags must be nonnegative")
-    amp = 0.25 * (1.0 + z_ss)
-    return amp * (np.exp(-rate_set.gamma_x * tau) + np.exp(-rate_set.gamma_y * tau))
-
 
 def spectral_weight(rate_set: RateSet) -> float:
     """Common Lorentzian weight (gamma_z - C)/gamma_z = 1 + z_ss; vanishes
@@ -96,11 +83,6 @@ def analytic_power_spectrum(rate_set: RateSet, eta: float, grid) -> Spectrum:
         + rate_set.gamma_y / (rate_set.gamma_y**2 + grid**2)
     )
     return Spectrum(grid=grid, values=vals)
-
-
-def total_flux(rate_set: RateSet, eta: float) -> float:
-    """Closed-form integral of P over the whole frequency axis."""
-    return (1.0 - eta) * spectral_weight(rate_set) / 4.0
 
 
 def numerical_power_spectrum(

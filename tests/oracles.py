@@ -19,7 +19,9 @@ with a single-pole feedback drive, the finite-bandwidth reference for the
 engine's decay rates and, as tau -> 0, for `inloop.feedback.rates`, and
 `CoupledNormals` feeds a run at 2 dt the Brownian path of a run at dt
 through `inloop.trajectories._stream`, whose rate difference
-`paired_rate_stderr` bounds.
+`paired_rate_stderr` bounds.  `operator_matrix` is the dense 2x2 matrix of
+an `AtomOperator`, and `correlation` and `total_flux` are the closed-form
+dipole correlation and integrated fluorescence spectrum.
 Conventions are those of `inloop.bloch`.  With r the Bloch vector
 of rho, A = a0 I + a . sigma_vec with complex a, and Hermitian
 H = h0 I + h . sigma_vec:
@@ -41,7 +43,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from inloop.bloch import (
-    EXACT_PURITY_TOL,
     IDENTITY,
     PAULI_X,
     PAULI_Y,
@@ -52,6 +53,7 @@ from inloop.bloch import (
     dissipator,
 )
 from inloop.errors import ParameterError
+from inloop.feedback import RateSet
 from inloop.loop import UNIT_STABILITY_GRID, LoopConfig, LoopFilter
 
 
@@ -98,7 +100,7 @@ def bloch_to_matrix(s: AtomState) -> np.ndarray:
     return 0.5 * (IDENTITY + s.x * PAULI_X + s.y * PAULI_Y + s.z * PAULI_Z)
 
 
-def state_from_matrix(rho, tol: float = EXACT_PURITY_TOL) -> AtomState:
+def state_from_matrix(rho) -> AtomState:
     """Bloch vector of a (Hermitian, unit-trace) 2x2 density matrix."""
     rho = np.asarray(rho, dtype=complex)
     if abs(np.trace(rho) - 1.0) > 1e-10:
@@ -106,7 +108,12 @@ def state_from_matrix(rho, tol: float = EXACT_PURITY_TOL) -> AtomState:
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
         raise ParameterError("density matrix must be Hermitian")
     r = [float(np.real(np.trace(rho @ p))) for p in PAULIS]
-    return AtomState(*r).validate(tol)
+    return AtomState(*r).validate()
+
+
+def operator_matrix(a: AtomOperator) -> np.ndarray:
+    """Dense 2x2 matrix a0 I + ax sigma_x + ay sigma_y + az sigma_z."""
+    return a.a0 * IDENTITY + a.ax * PAULI_X + a.ay * PAULI_Y + a.az * PAULI_Z
 
 
 def measurement_expectation(a: AtomOperator, s: AtomState) -> float:
@@ -272,6 +279,22 @@ def single_pole_hybrid_rates(eta, eps, g, tau, n_modes=16) -> tuple[float, float
     return out[0], out[1], out[2]
 
 
+def correlation(rate_set: RateSet, z_ss: float, tau) -> np.ndarray:
+    """Steady-state dipole correlation
+    c(tau) = (1 + z_ss)/4 [exp(-gamma_x tau) + exp(-gamma_y tau)] for tau >= 0."""
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau < 0.0):
+        raise ParameterError("correlation lags must be nonnegative")
+    amp = 0.25 * (1.0 + z_ss)
+    return amp * (np.exp(-rate_set.gamma_x * tau) + np.exp(-rate_set.gamma_y * tau))
+
+
+def total_flux(rate_set: RateSet, eta: float) -> float:
+    """Integral of the fluorescence spectrum over the whole frequency axis,
+    (1 - eta)(gamma_z - C)/(4 gamma_z), from the rates alone."""
+    return (1.0 - eta) * (rate_set.gamma_z - rate_set.C) / (4.0 * rate_set.gamma_z)
+
+
 def trapezoid_power_spectrum(drift, constant, eta, grid, tau_max, dtau) -> np.ndarray:
     """Fluorescence spectrum (1 - eta)/(2 pi) Re int_0^tau_max exp(i w tau)
     c(tau) dtau by `np.trapezoid` on the lags 0, dtau, ..., tau_max, with no
@@ -284,7 +307,7 @@ def trapezoid_power_spectrum(drift, constant, eta, grid, tau_max, dtau) -> np.nd
     """
     r_ss = np.linalg.solve(drift, -constant)
     sigma = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-    m0 = sigma @ bloch_to_matrix(AtomState.from_bloch(r_ss))
+    m0 = sigma @ bloch_to_matrix(AtomState(*r_ss))
     step = expm(generator_matrix(drift, constant) * dtau)
     n = int(round(tau_max / dtau))
     comps = np.empty((n + 1, 4), dtype=complex)

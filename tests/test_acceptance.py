@@ -26,11 +26,10 @@ from inloop.spectra import (
     analytic_power_spectrum,
     fit_lorentzian_pair,
     numerical_power_spectrum,
-    total_flux,
 )
 from inloop.squeezed_bath import build_squeezed_generator, free_rates
 from inloop.trajectories import TrajectoryConfig, fit_decay_rate, run_ensemble
-from oracles import bloch_to_matrix
+from oracles import bloch_to_matrix, total_flux
 
 ETA, EPS = 0.8, 0.95
 LAM = -ETA * EPS  # optimal feedback, g = -19
@@ -238,8 +237,8 @@ def test_criterion_7_positivity_and_trace_suite():
     purity_ok = worst_purity <= 1.0 + 1e-9
 
     # trace and Hermiticity on a sample of propagated states
-    s = AtomState.from_bloch(
-        propagate(build_generator(LAM, ETA, EPS).rates, AtomState(0.6, 0.3, 0.2), 0.7)
+    s = AtomState(
+        *propagate(build_generator(LAM, ETA, EPS).rates, AtomState(0.6, 0.3, 0.2), 0.7)
     )
     rho = bloch_to_matrix(s)
     trace_ok = abs(np.trace(rho) - 1.0) < 1e-14 and np.max(np.abs(rho - rho.conj().T)) < 1e-14

@@ -157,8 +157,8 @@ def test_steady_state_values():
 def test_evolve_examples():
     gen = build_generator(0.0, 0.8, 0.95)
     s0 = AtomState(1.0, 0.0, 0.0)
-    assert AtomState.from_bloch(propagate(gen.rates, s0, 0.0)) == s0
-    s2 = AtomState.from_bloch(propagate(gen.rates, s0, 2.0))
+    assert AtomState(*propagate(gen.rates, s0, 0.0)) == s0
+    s2 = AtomState(*propagate(gen.rates, s0, 2.0))
     assert abs(s2.x - np.exp(-1.0)) < 1e-14
     assert abs(s2.z - (-1.0 + np.exp(-2.0))) < 1e-14
     with pytest.raises(ParameterError):
@@ -174,9 +174,9 @@ def test_evolve_semigroup_property():
         r *= rng.uniform(0, 1) / np.linalg.norm(r)
         s0 = AtomState(*r)
         t1, t2 = rng.uniform(0, 3, 2)
-        once = AtomState.from_bloch(propagate(rs, s0, t1 + t2))
-        mid = AtomState.from_bloch(propagate(rs, s0, t1))
-        twice = AtomState.from_bloch(propagate(rs, mid, t2))
+        once = AtomState(*propagate(rs, s0, t1 + t2))
+        mid = AtomState(*propagate(rs, s0, t1))
+        twice = AtomState(*propagate(rs, mid, t2))
         assert np.allclose(once.bloch, twice.bloch, atol=1e-12)
 
 

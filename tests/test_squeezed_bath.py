@@ -150,7 +150,7 @@ def test_cross_model_identity():
 
 def test_free_evolve_matches_rates():
     gen = build_squeezed_generator(0.8, 0.05)
-    s = AtomState.from_bloch(propagate(gen.rates, AtomState(1.0, 1.0, 0.0), 0.7))
+    s = AtomState(*propagate(gen.rates, AtomState(1.0, 1.0, 0.0), 0.7))
     rs = free_rates(0.8, 0.05)
     assert abs(s.x - np.exp(-rs.gamma_x * 0.7)) < 1e-14
     assert abs(s.y - np.exp(-rs.gamma_y * 0.7)) < 1e-14

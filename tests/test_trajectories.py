@@ -75,7 +75,7 @@ def make_config(**kw):
 
 
 def test_step_ground_state_is_dark():
-    s = step_conditioned(AtomState.ground(), phi=0.0, dw=0.0, dt=1e-3, eta=0.8, eps=0.95)
+    s = step_conditioned(AtomState(0.0, 0.0, -1.0), phi=0.0, dw=0.0, dt=1e-3, eta=0.8, eps=0.95)
     assert np.allclose(s.bloch, [0.0, 0.0, -1.0], atol=1e-15)
 
 
@@ -111,7 +111,7 @@ def test_step_rotation_matches_feedback_hamiltonian():
 
 
 def test_mean_current_examples():
-    assert mean_current(AtomState.ground(), 0.0, 0.8, 0.95) == 0.0
+    assert mean_current(AtomState(0.0, 0.0, -1.0), 0.0, 0.8, 0.95) == 0.0
     assert abs(mean_current(AtomState(1, 0, 0), 0.0, 0.8, 0.95) - np.sqrt(0.76)) < 1e-15
     assert abs(mean_current(AtomState(0, 0, -1), 1.0, 0.8, 0.95) - np.sqrt(0.95)) < 1e-15
 
@@ -841,24 +841,34 @@ def test_coupled_coarse_run_reads_the_fine_streams_pairwise():
     assert_bitwise_equal(coupled, replayed)
 
 
-def test_coupled_pair_resolves_the_step_bias():
-    # the x decay rate at 2 dt and at dt on one Brownian path (the coupling
-    # of multilevel Monte Carlo, M. B. Giles, Oper. Res. 56, 607 (2008)):
-    # the difference, about 1.5e-3, is a fraction of either run's error but
-    # many of the paired error
+def assert_coupled_pair_resolves_the_step_bias(dt, seed):
+    """The x decay rate at 2 dt and at dt on one Brownian path (the coupling
+    of multilevel Monte Carlo, M. B. Giles, Oper. Res. 56, 607 (2008)): the
+    difference is a fraction of either run's error but many of the paired
+    error."""
     fine_cfg = TrajectoryConfig(
-        loop=COUPLED_LOOP, dt=1e-3, duration=3.0, n_traj=2000, seed=31,
+        loop=COUPLED_LOOP, dt=dt, duration=3.0, n_traj=2000, seed=seed,
         initial_state=AtomState(1.0, 0.0, 0.0), phi_guard=2e4,
     )
     fine = run_ensemble(fine_cfg)
     with coupled_streams():
-        coarse = run_ensemble(replace(fine_cfg, dt=2e-3))
+        coarse = run_ensemble(replace(fine_cfg, dt=2.0 * dt))
     fit_fine, fit_coarse = fit_decay_rate(fine, "x"), fit_decay_rate(coarse, "x")
     u = decay_rate_terms(fine)  # fit_decay_rate's own terms
     assert abs(np.std(u, ddof=1) / np.sqrt(u.size) / fit_fine.stderr - 1.0) < 1e-12
     paired = paired_rate_stderr(coarse, fine)
     assert fit_coarse.rate - fit_fine.rate > 5.0 * paired
     assert (fit_coarse.stderr**2 + fit_fine.stderr**2) / paired**2 > 100.0
+
+
+def test_coupled_pair_resolves_the_step_bias():
+    # r(2 dt) - r(dt) is about 1.5e-3 at dt = 1e-3
+    assert_coupled_pair_resolves_the_step_bias(1e-3, seed=31)
+
+
+def test_coupled_pair_resolves_the_step_bias_at_half_the_step():
+    # about 5e-4 at dt = 5e-4: the step bias falls with the step
+    assert_coupled_pair_resolves_the_step_bias(5e-4, seed=32)
 
 
 def test_open_loop_ensemble_matches_master_equation():
@@ -1096,22 +1106,22 @@ def test_streamed_current_psd_is_the_raw_route(rows, nperseg):
 
 
 def test_streamed_current_psd_memory_does_not_grow_with_duration():
-    # one slice of 16 trajectories: the stream holds a window of 1,024 steps
+    # one slice of 16 trajectories: the stream holds a window of 256 steps
     # and per-row sums, not the (16, n_steps) record
-    run_ensemble(stream_config(0.2048, current_nperseg=1024))  # caches and FFT plans
+    run_ensemble(stream_config(0.0512, current_nperseg=256))  # caches and FFT plans
     peaks = {}
     tracemalloc.start()
     try:
-        for steps, raw in ((20000, False), (80000, False), (20000, True)):
+        for steps, raw in ((5000, False), (20000, False), (5000, True)):
             tracemalloc.reset_peak()
-            kw = dict(record_current=True) if raw else dict(current_nperseg=1024)
+            kw = dict(record_current=True) if raw else dict(current_nperseg=256)
             run_ensemble(stream_config(steps * 1e-4, **kw))
             peaks[steps, raw] = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert abs(peaks[80000, False] / peaks[20000, False] - 1.0) < 0.1
-    assert peaks[80000, False] < 16 * 80000 * 8 / 4
-    assert peaks[20000, True] >= 16 * 20000 * 8
+    assert abs(peaks[20000, False] / peaks[5000, False] - 1.0) < 0.1
+    assert peaks[20000, False] < 16 * 20000 * 8 / 4
+    assert peaks[5000, True] >= 16 * 5000 * 8
 
 
 def test_segment_clamped_below_three_steps_raises_before_any_step():
